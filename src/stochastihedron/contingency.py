@@ -17,6 +17,7 @@ adjacent columns.  Canonical element order is lexicographic on
 
 import itertools
 from math import factorial
+from operator import add
 
 from .errors import DomainError
 from .limits import DOUBLE_COSET_CAP, ENUMERATION_CAP, POSET_CAP, guard
@@ -256,30 +257,21 @@ def enumerate_cm(n=None, p=None, q=None, alpha=None, beta=None):
     return out
 
 
-def count_cm(n=None, p=None, q=None, alpha=None, beta=None):
-    """Census size |CM_n(p, q)| etc., by enumeration over margin pairs."""
+def count_cm_by_size(n=None, p=None, q=None, alpha=None, beta=None):
+    """dict (p, q) -> count of matrices of that size meeting the constraints."""
     n, p, q, alpha, beta = _resolve_constraints(n, p, q, alpha, beta)
     guard(n, ENUMERATION_CAP, "contingency matrix enumeration")
-    total = 0
-    for _, _, alphas, betas in _margin_pairs(n, p, q, alpha, beta):
-        for a in alphas:
-            for b in betas:
-                total += _count_fixed_margins(a.parts, b.parts)
-    return total
+    return {
+        (pp, qq): sum(
+            _count_fixed_margins(a.parts, b.parts) for a in alphas for b in betas
+        )
+        for pp, qq, alphas, betas in _margin_pairs(n, p, q, alpha, beta)
+    }
 
 
-def count_cm_by_size(n):
-    """dict (p, q) -> |CM_n(p, q)|, by enumeration."""
-    guard(n, ENUMERATION_CAP, "contingency matrix enumeration")
-    counts = {}
-    for pp in range(1, n + 1):
-        alphas = enumerate_ordered_partitions(n, pp)
-        for qq in range(1, n + 1):
-            betas = enumerate_ordered_partitions(n, qq)
-            counts[(pp, qq)] = sum(
-                _count_fixed_margins(a.parts, b.parts) for a in alphas for b in betas
-            )
-    return counts
+def count_cm(n=None, p=None, q=None, alpha=None, beta=None):
+    """Census size |CM_n(p, q)| etc., summed over the sizes it allows."""
+    return sum(count_cm_by_size(n, p, q, alpha, beta).values())
 
 
 def colored_lift_count(matrix):
@@ -345,12 +337,31 @@ def double_coset_count(alpha, beta):
 # ---------------------------------------------------------------------------
 # the contraction poset
 
+def _merge_blocks(lines, targets):
+    """Add consecutive lines (row tuples) into blocks summing to `targets`,
+    of equal grand total; None if impossible.  Sums are positive: one way."""
+    blocks = []
+    lines = iter(lines)
+    for target in targets:
+        block = next(lines)
+        total = sum(block)
+        while total < target:
+            line = next(lines)
+            block = tuple(map(add, block, line))
+            total += sum(line)
+        if total != target:
+            return None
+        blocks.append(block)
+    return blocks
+
+
 class CmPoset:
-    """CM_n with its covers (single contractions) and reachability orders.
+    """CM_n with its covers (single contractions) and the contraction order.
 
     ``covers`` lists (child, parent, kind, position) with
     parent = contract(child, kind, position); the poset order makes the
-    contracted (coarser) matrix the larger one.
+    contracted (coarser) matrix the larger one.  ``leq`` decides the order
+    from two matrices alone by the block-sum rule.
     """
 
     def __init__(self, n, elements, covers):
@@ -365,8 +376,6 @@ class CmPoset:
             down[parent].append((child, kind, pos))
         self.up = tuple(tuple(x) for x in up)
         self.down = tuple(tuple(x) for x in down)
-        self._above = {}
-        self._below_all = None
 
     def __len__(self):
         return len(self.elements)
@@ -384,27 +393,24 @@ class CmPoset:
         m = self.elements[i]
         return 2 * self.n - (m.p + m.q)
 
-    def _above_masks(self, kinds):
-        """Bitmask per element of everything strictly above it, following
-        covers of the given kinds only.  Canonical order lists parents
-        before children, so one ascending sweep suffices."""
-        key = kinds
-        if key not in self._above:
-            above = [0] * len(self.elements)
-            for i in range(len(self.elements)):
-                acc = 0
-                for parent, kind, _ in self.up[i]:
-                    if kind in kinds:
-                        acc |= above[parent] | (1 << parent)
-                above[i] = acc
-            self._above[key] = above
-        return self._above[key]
-
     def leq(self, i, j, kinds=KINDS):
-        """Index-based order test: element i <= element j."""
-        if i == j:
-            return True
-        return bool(self._above_masks(tuple(kinds))[i] & (1 << j))
+        """Element i <= element j, following contractions of these kinds.
+
+        Block-sum rule: A <= B exactly when B is A with consecutive rows
+        added into blocks with B's row sums, then consecutive columns into
+        blocks with B's column sums.  The horizontal-only order keeps the
+        columns, the vertical-only order keeps the rows.
+        """
+        a, b = self.elements[i], self.elements[j]
+        rows_ok = b.p == a.p or (b.p < a.p and HORIZONTAL in kinds)
+        columns_ok = b.q == a.q or (b.q < a.q and VERTICAL in kinds)
+        if not (rows_ok and columns_ok):
+            return False
+        rows = _merge_blocks(a.rows, list(map(sum, b.rows)))
+        if rows is None:
+            return False
+        columns = list(zip(*b.rows))
+        return _merge_blocks(zip(*rows), list(map(sum, columns))) == columns
 
     def cm_leq(self, small, large):
         """The order generated by contractions of both kinds."""
@@ -419,21 +425,6 @@ class CmPoset:
         return self.leq(
             self.element_index(small), self.element_index(large), (VERTICAL,)
         )
-
-    def below_mask(self, i):
-        """Bitmask of elements strictly below element i (both kinds)."""
-        if self._below_all is None:
-            below = [0] * len(self.elements)
-            above = self._above_masks(KINDS)
-            for child, mask in enumerate(above):
-                bit = 1 << child
-                m = mask
-                while m:
-                    lsb = m & -m
-                    below[lsb.bit_length() - 1] |= bit
-                    m ^= lsb
-            self._below_all = below
-        return self._below_all[i]
 
     def maximum(self):
         """Index of the 1x1 matrix (n)."""

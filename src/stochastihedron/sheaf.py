@@ -76,32 +76,50 @@ class PosetRepresentation:
 
     @classmethod
     def from_json(cls, data, poset=None):
-        if not isinstance(data, dict) or "n" not in data or "spaces" not in data:
-            raise StructuralError('representation JSON needs "n" and "spaces"')
+        if not isinstance(data, dict) or "n" not in data or not isinstance(
+            data.get("spaces"), dict
+        ):
+            raise StructuralError('representation JSON needs "n" and a "spaces" object')
         if poset is None:
-            poset = build_poset(int(data["n"]))
+            poset = build_poset(_json_int(data["n"], '"n"'))
         dims = [0] * len(poset)
         for key, value in data["spaces"].items():
-            i = int(key)
+            i = _json_int(key, "space key")
             if not 0 <= i < len(poset):
                 raise StructuralError(f"space index {i} out of range")
-            dims[i] = int(value)
+            dims[i] = _json_int(value, f"dimension of space {i}")
+        covers = {(child, parent) for child, parent, _, _ in poset.covers}
         maps = {}
         for item in data.get("maps", []):
-            child, parent = int(item["from"]), int(item["to"])
-            maps[(child, parent)] = [
-                [Fraction(str(x)) for x in row] for row in item["matrix"]
-            ]
+            if not isinstance(item, dict) or {"from", "to", "matrix"} - item.keys():
+                raise StructuralError('every map needs "from", "to" and "matrix"')
+            pair = _json_int(item["from"], '"from"'), _json_int(item["to"], '"to"')
+            if pair not in covers:
+                raise StructuralError(f"map {pair[0]} -> {pair[1]} is not on a cover")
+            if pair in maps:
+                raise StructuralError(f"duplicate map for cover {pair[0]} -> {pair[1]}")
+            try:
+                maps[pair] = [[Fraction(str(x)) for x in row] for row in item["matrix"]]
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise StructuralError(f"bad matrix for map {pair}: {exc}") from exc
         # implicit empty matrices wherever one endpoint is 0-dimensional
         for child, parent, _, _ in poset.covers:
             if (child, parent) not in maps:
                 if dims[child] == 0 or dims[parent] == 0:
                     maps[(child, parent)] = [[] for _ in range(dims[parent])]
                 else:
-                    raise StructuralError(
-                        f"missing map for cover {child} -> {parent}"
-                    )
+                    raise StructuralError(f"missing map for cover {child} -> {parent}")
         return cls(poset, dims, maps)
+
+
+def _json_int(value, what):
+    """An integer from JSON; object keys arrive as decimal strings."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise StructuralError(f"{what} must be an integer, got {value!r}")
 
 
 def constant_sheaf(n, dim):

@@ -340,8 +340,6 @@ class _UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-KINDS_ALL = (HORIZONTAL, VERTICAL)
-
 _FIBER_LABELS = {
     (HORIZONTAL, VERTICAL): ("multiplicity", multiplicity_partition),
     (HORIZONTAL,): ("fnf", fnf_label),

@@ -408,37 +408,30 @@ def lower_interval(poset, matrix, strict=True):
     Labels are the canonical element indices of the ambient poset.
     """
     i = poset.element_index(matrix) if not isinstance(matrix, int) else matrix
-    mask = poset.below_mask(i)
-    if not strict:
-        mask |= 1 << i
-    members = list(_bits(mask))
+    below = frontier = {i}
+    while frontier:
+        frontier = {c for g in frontier for c, _, _ in poset.down[g]} - below
+        below = below | frontier
+    members = sorted(below - {i} if strict else below)
     pos = {g: k for k, g in enumerate(members)}
-    above_all = poset._above_masks(contingency.KINDS)
+    # canonical order lists parents before children: one ascending sweep
     above = []
     for g in members:
-        sub = above_all[g] & mask
         acc = 0
-        for j in _bits(sub):
-            acc |= 1 << pos[j]
+        for parent, _, _ in poset.up[g]:
+            k = pos.get(parent)
+            if k is not None:
+                acc |= above[k] | (1 << k)
         above.append(acc)
     return FinitePoset(tuple(members), above)
-
-
-def cm_order_poset(poset):
-    """The whole of CM_n as a FinitePoset (for the global ball check)."""
-    full = (1 << len(poset)) - 1
-    above_all = poset._above_masks(contingency.KINDS)
-    return FinitePoset(tuple(range(len(poset))), tuple(above_all[g] & full for g in range(len(poset))))
-
-
-def expected_sphere_dimension(n, matrix):
-    return 2 * n - (matrix.p + matrix.q) - 1
 
 
 def verify_sphericity(n, jobs=1):
     """Check, for every M in CM_n, that the strict lower interval has the
     reduced homology of a sphere of dimension 2n-(p+q)-1 and that the
     non-strict interval is acyclic."""
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     guard(n, SPHERICITY_CAP, "sphericity verification")
     poset = contingency.build_poset(n)
     results = []
@@ -463,14 +456,13 @@ def verify_sphericity(n, jobs=1):
 
 
 def _check_cell(poset, i):
-    matrix = poset.elements[i]
-    d_exp = expected_sphere_dimension(poset.n, matrix)
+    d_exp = poset.rank(i) - 1
     strict_profile = homology(order_complex(lower_interval(poset, i, strict=True)))
     closed_profile = homology(order_complex(lower_interval(poset, i, strict=False)))
     sphere_ok = strict_profile == HomologyProfile.sphere(d_exp)
     acyclic_ok = closed_profile == HomologyProfile.trivial()
     return {
-        "element": matrix.to_json(),
+        "element": poset.elements[i].to_json(),
         "expected_sphere_dim": d_exp,
         "homology": strict_profile.to_json(),
         "closed_acyclic": acyclic_ok,

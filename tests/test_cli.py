@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from stochastihedron import cli, constant_sheaf
+
 
 CLI = [sys.executable, "-m", "stochastihedron.cli"]
 
@@ -30,6 +34,19 @@ def test_f_vector_command():
     assert report["details"]["f_vector"] == {"0": 6, "1": 12, "2": 10, "3": 4, "4": 1}
     assert report["details"]["total"] == 33
     assert "elapsed_ms" not in report
+
+
+def test_f_vector_weight_zero_is_malformed():
+    proc = run_cli("--stable", "f-vector", "--n", "0")
+    assert proc.returncode == 2
+    assert "weight must be positive" in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sphericity_jobs_below_one(jobs, capsys):
+    # in-process: the check must fire before any worker pool starts
+    assert cli.main(["--stable", "sphericity", "--n", "2", "--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_stable_output_is_byte_identical():
@@ -181,6 +198,59 @@ def test_failing_sheaf_check_exits_nonzero(tmp_path):
         "--stable", "sheaf-check", "--input", str(path), "--strat", "cont"
     )
     assert code == 0
+
+
+def _first_map(rep):
+    return rep["maps"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda r: _first_map(r).pop("from"), "needs", id="no-from"),
+        pytest.param(lambda r: _first_map(r).pop("to"), "needs", id="no-to"),
+        pytest.param(lambda r: _first_map(r).pop("matrix"), "needs", id="no-matrix"),
+        pytest.param(
+            lambda r: _first_map(r).update({"from": "one"}),
+            "must be an integer",
+            id="from-not-int",
+        ),
+        pytest.param(
+            lambda r: _first_map(r).update({"to": 0.5}),
+            "must be an integer",
+            id="to-not-int",
+        ),
+        pytest.param(
+            lambda r: r["spaces"].update({"x": 1}),
+            "must be an integer",
+            id="space-key-not-int",
+        ),
+        pytest.param(
+            lambda r: r["maps"].append({"from": 0, "to": 4, "matrix": [["1"]]}),
+            "is not on a cover",
+            id="not-a-cover",
+        ),
+        pytest.param(
+            lambda r: r["maps"].append(dict(_first_map(r))),
+            "duplicate map",
+            id="duplicate-map",
+        ),
+        pytest.param(
+            lambda r: _first_map(r).update({"matrix": [["1/0"]]}),
+            "bad matrix",
+            id="bad-entry",
+        ),
+    ],
+)
+def test_sheaf_check_malformed_representation(tmp_path, edit, message):
+    rep = constant_sheaf(2, 1).to_json()
+    edit(rep)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    proc = run_cli("--stable", "sheaf-check", "--input", str(path))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_subcommand_exits_2():

@@ -19,6 +19,7 @@ from stochastihedron.contingency import (
 )
 from stochastihedron.errors import CapacityError, DomainError
 from stochastihedron.partitions import OrderedPartition, enumerate_ordered_partitions
+from stochastihedron.topology import lower_interval
 
 
 def cm(rows):
@@ -225,29 +226,71 @@ def test_poset_n1_and_n2():
     assert len(poset.covers) == 6
 
 
+def _bits(mask):
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+def _transitive_closure(above):
+    """Close 'strictly above' bitmasks under transitivity, to a fixpoint."""
+    above = list(above)
+    changed = True
+    while changed:
+        changed = False
+        for i, mask in enumerate(above):
+            acc = mask
+            for j in _bits(mask):
+                acc |= above[j]
+            if acc != mask:
+                above[i] = acc
+                changed = True
+    return above
+
+
+def _reachability_oracle(poset, kinds):
+    """Per element, a bitmask of everything strictly above it, closed
+    from the covers of the given kinds alone."""
+    above = [0] * len(poset)
+    for child, parent, kind, _ in poset.covers:
+        if kind in kinds:
+            above[child] |= 1 << parent
+    return _transitive_closure(above)
+
+
 def test_order_is_closure_of_both_single_kind_orders():
-    # independently: transitive closure of the union of the two one-kind
-    # reachability relations equals the mixed reachability relation
+    # oracle: reachability along the recorded covers, independent of the
+    # block-sum rule that CmPoset.leq and lower_interval rely on
     for n in range(1, 5):
         poset = build_poset(n)
         size = len(poset)
-        above_h = poset._above_masks((HORIZONTAL,))
-        above_v = poset._above_masks((VERTICAL,))
-        union = [above_h[i] | above_v[i] for i in range(size)]
-        changed = True
-        while changed:
-            changed = False
+        oracle = {
+            kinds: _reachability_oracle(poset, kinds)
+            for kinds in ((HORIZONTAL,), (VERTICAL,), (HORIZONTAL, VERTICAL))
+        }
+        for kinds, above in oracle.items():
             for i in range(size):
-                acc = union[i]
-                m = acc
-                while m:
-                    lsb = m & -m
-                    acc |= union[lsb.bit_length() - 1]
-                    m ^= lsb
-                if acc != union[i]:
-                    union[i] = acc
-                    changed = True
-        assert union == poset._above_masks((HORIZONTAL, VERTICAL))
+                for j in range(size):
+                    want = i == j or bool(above[i] >> j & 1)
+                    assert poset.leq(i, j, kinds) == want, (n, kinds, i, j)
+        union = _transitive_closure(
+            h | v for h, v in zip(oracle[(HORIZONTAL,)], oracle[(VERTICAL,)])
+        )
+        mixed = oracle[(HORIZONTAL, VERTICAL)]
+        assert union == mixed
+        for top in range(size):
+            for strict in (True, False):
+                interval = lower_interval(poset, top, strict=strict)
+                members = [
+                    i for i in range(size)
+                    if mixed[i] >> top & 1 or (i == top and not strict)
+                ]
+                assert list(interval.labels) == members
+                for k, g in enumerate(members):
+                    assert set(_bits(interval.above[k])) == {
+                        kh for kh, h in enumerate(members) if mixed[g] >> h & 1
+                    }
 
 
 def test_leq_direction():

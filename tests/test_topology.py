@@ -11,7 +11,6 @@ from stochastihedron.topology import (
     FinitePoset,
     HomologyProfile,
     SimplicialComplex,
-    cm_order_poset,
     f_vector,
     homology,
     lower_interval,
@@ -273,7 +272,8 @@ def test_sphericity_capacity():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_full_poset_is_acyclic(n):
-    K = order_complex(cm_order_poset(build_poset(n)))
+    poset = build_poset(n)
+    K = order_complex(lower_interval(poset, poset.maximum(), strict=False))
     assert homology(K) == HomologyProfile.trivial()
 
 
