@@ -45,7 +45,9 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # past the int-string conversion limit
         raise StructuralError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -80,7 +82,10 @@ def _cmd_poset(args):
 
 
 def _cmd_sphericity(args):
-    report = topology.verify_sphericity(args.n, jobs=args.jobs)
+    # --jobs is accepted for compatibility and ignored: the check is serial
+    if args.jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {args.jobs}")
+    report = topology.verify_sphericity(args.n)
     details = {
         "claim": "lower-intervals-are-spheres",
         "n": report["n"],
@@ -275,7 +280,9 @@ def build_parser():
 
     p = sub.add_parser("sphericity", help="verify lower intervals are spheres")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored; the run is serial"
+    )
     p.add_argument("--full", action="store_true", help="include per-cell reports")
     p.set_defaults(handler=_cmd_sphericity)
 

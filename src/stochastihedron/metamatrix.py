@@ -199,17 +199,9 @@ STIRLING_SCALED = "stirling_scaled"
 DIAGONAL = "diagonal"
 
 
-@dataclass(frozen=True)
-class StructuredMatrix:
-    kind: str
-    entries: tuple
-
-    def grid(self):
-        return [list(r) for r in self.entries]
-
-
 def structured_matrix(kind, n, diag_entries=None):
-    """The named n x n matrix, 1-based indices p, i, k in [1, n]:
+    """The named n x n matrix as a list of rows, 1-based indices p, i, k
+    in [1, n]:
 
     pascal          P_pi   = C(p, i)            (unipotent lower triangular)
     pascal_inverse  P*_pi  = (-1)^(p-i) C(p, i)
@@ -242,7 +234,7 @@ def structured_matrix(kind, n, diag_entries=None):
         rows = diagonal(list(diag_entries))
     else:
         raise DomainError(f"unknown structured matrix kind {kind!r}")
-    return StructuredMatrix(kind, tuple(tuple(row) for row in rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +249,12 @@ def verify_factorizations(n):
     if n < 1:
         raise DomainError(f"weight must be positive, got {n}")
     guard(n, RATIONAL_IDENTITY_CAP, "rational identity verification")
-    P = structured_matrix(PASCAL, n).grid()
-    P_star = structured_matrix(PASCAL_INVERSE, n).grid()
-    V = structured_matrix(VANDERMONDE, n).grid()
-    B = structured_matrix(BINOMIAL, n).grid()
-    S = structured_matrix(STIRLING_SECOND, n).grid()
-    S_star = structured_matrix(STIRLING_SCALED, n).grid()
+    P = structured_matrix(PASCAL, n)
+    P_star = structured_matrix(PASCAL_INVERSE, n)
+    V = structured_matrix(VANDERMONDE, n)
+    B = structured_matrix(BINOMIAL, n)
+    S = structured_matrix(STIRLING_SECOND, n)
+    S_star = structured_matrix(STIRLING_SCALED, n)
     M = metamatrix(n).entries
     c = [stirling_first(n, k) for k in range(1, n + 1)]
     facts = [factorial(k) for k in range(1, n + 1)]

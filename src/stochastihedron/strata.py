@@ -21,7 +21,9 @@ All coordinates are exact rationals: collision detection is equality of
 fractions, never a floating-point tolerance.
 """
 
+import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .contingency import (
@@ -64,15 +66,31 @@ class PointConfiguration:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or "points" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("points"), list):
             raise StructuralError('configuration JSON must look like {"points": [...]}')
         pts = []
         for item in data["points"]:
             try:
-                pts.append((Fraction(str(item["re"])), Fraction(str(item["im"]))))
-            except (KeyError, TypeError, ValueError) as exc:
+                pts.append((_coordinate(item["re"]), _coordinate(item["im"])))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise StructuralError(f"bad point entry {item!r}: {exc}") from exc
         return cls(tuple(pts))
+
+
+def _coordinate(value):
+    """An exact coordinate from a JSON number or string.  A decimal that
+    takes more digits written out than Python's int-string limit is
+    refused before ``Fraction`` builds its power of ten: the report could
+    not print it, and a power like 10**999999999 takes minutes or more."""
+    text = str(value)
+    try:
+        _, digits, exponent = Decimal(text).as_tuple()
+    except InvalidOperation:  # fractions such as "1/2"
+        digits, exponent = (), 0
+    limit = sys.get_int_max_str_digits()
+    if isinstance(exponent, int) and limit and len(digits) + abs(exponent) > limit:
+        raise ValueError(f"decimal takes more than {limit} digits written out")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)

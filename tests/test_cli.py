@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -16,8 +17,9 @@ def run_cli(*args, env_extra=None):
     env.pop("CONTINGENCY_MAX_N", None)
     if env_extra:
         env.update(env_extra)
+    # the timeout turns a runaway input check into a failure, not a hang
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=120
     )
 
 
@@ -44,9 +46,22 @@ def test_f_vector_weight_zero_is_malformed():
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sphericity_jobs_below_one(jobs, capsys):
-    # in-process: the check must fire before any worker pool starts
     assert cli.main(["--stable", "sphericity", "--n", "2", "--jobs", jobs]) == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_sphericity_jobs_is_ignored(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sphericity must not start a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    reports = {}
+    for jobs in ("1", "2"):
+        argv = ["--stable", "sphericity", "--n", "3", "--jobs", jobs, "--full"]
+        assert cli.main(argv) == 0
+        reports[jobs] = json.loads(capsys.readouterr().out)
+    assert reports["2"]["details"] == reports["1"]["details"]
+    assert reports["2"]["details"]["cells_checked"] == 33
 
 
 def test_stable_output_is_byte_identical():
@@ -155,12 +170,59 @@ def test_classify_command(tmp_path):
     assert report["details"]["fnf"]["gamma"] == [[1], [1]]
 
 
-def test_classify_malformed_input(tmp_path):
+def _point(re, im="0"):
+    return json.dumps({"points": [{"re": re, "im": im}]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{not json", id="not-json"),
+        pytest.param('{"points": 5}', id="points-not-a-list"),
+        pytest.param('{"points": "01"}', id="points-a-string"),
+        pytest.param('{"points": []}', id="no-points"),
+        pytest.param('{"points": [5]}', id="point-not-an-object"),
+        pytest.param('{"points": [{"re": "1"}]}', id="no-im"),
+        pytest.param(_point("1/0"), id="zero-denominator"),
+        pytest.param(_point("x"), id="not-a-number"),
+        pytest.param(_point("nan"), id="nan"),
+        pytest.param(_point("1e999999999"), id="huge-exponent"),
+        pytest.param(_point("0", "1e-999999999"), id="huge-negative-exponent"),
+        pytest.param(_point("12345e4296"), id="over-the-digit-limit"),
+    ],
+)
+def test_classify_malformed_input(tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text(text)
     proc = run_cli("classify", "--input", str(path))
     assert proc.returncode == 2
     assert "error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_classify_accepts_exponent_at_the_digit_limit(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(_point("1e4299", "25e-2"))
+    code, report = run_json("--stable", "classify", "--input", str(path))
+    assert code == 0
+    assert report["details"]["matrix"] == {"rows": [[1]]}
+
+
+@pytest.mark.parametrize("command", ["classify", "sheaf-check"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(b'{"points": [{"re": "\xff", "im": "0"}]}', id="not-utf8"),
+        pytest.param(b'{"n": ' + b"9" * 4301 + b"}", id="int-over-4300-digits"),
+    ],
+)
+def test_unreadable_json_input_exits_2(tmp_path, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    proc = run_cli(command, "--input", str(path))
+    assert proc.returncode == 2
+    assert "cannot read JSON" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_sheaf_commands(tmp_path):

@@ -141,13 +141,13 @@ def test_total_count():
 # factorizations and determinants
 
 def test_structured_matrix_shapes():
-    p = structured_matrix("pascal", 3).grid()
+    p = structured_matrix("pascal", 3)
     assert p == [[1, 0, 0], [2, 1, 0], [3, 3, 1]]
-    v = structured_matrix("vandermonde", 3).grid()
+    v = structured_matrix("vandermonde", 3)
     assert v == [[1, 1, 1], [2, 4, 8], [3, 9, 27]]
-    s = structured_matrix("stirling_second", 3).grid()
+    s = structured_matrix("stirling_second", 3)
     assert s == [[1, 1, 1], [0, 1, 3], [0, 0, 1]]
-    s_star = structured_matrix("stirling_scaled", 3).grid()
+    s_star = structured_matrix("stirling_scaled", 3)
     assert s_star[0] == [1, Fraction(1, 2), Fraction(1, 6)]
     with pytest.raises(DomainError):
         structured_matrix("cauchy", 3)
@@ -183,8 +183,8 @@ def test_pascal_inverse_up_to_20():
     from stochastihedron.exactlinalg import identity, mat_mul
 
     for n in (5, 13, 20):
-        p = structured_matrix("pascal", n).grid()
-        p_star = structured_matrix("pascal_inverse", n).grid()
+        p = structured_matrix("pascal", n)
+        p_star = structured_matrix("pascal_inverse", n)
         assert mat_mul(p, p_star) == identity(n)
 
 

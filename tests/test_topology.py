@@ -265,6 +265,12 @@ def test_sphericity_report_shape():
     assert set(row) >= {"element", "expected_sphere_dim", "homology", "pass"}
 
 
+def test_sphericity_closed_intervals_are_cones():
+    report = verify_sphericity(3)
+    assert report["cells_checked"] == 33
+    assert all(row["closed_acyclic"] for row in report["cells"])
+
+
 def test_sphericity_capacity():
     with pytest.raises(CapacityError):
         verify_sphericity(9)
