@@ -45,9 +45,10 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
-        # past the int-string conversion limit
+        # past the int-string conversion limit; RecursionError, nesting
+        # deeper than the decoder's stack
         raise StructuralError(f"cannot read JSON from {path}: {exc}") from exc
 
 

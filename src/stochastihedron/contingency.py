@@ -16,6 +16,7 @@ adjacent columns.  Canonical element order is lexicographic on
 """
 
 import itertools
+import operator
 from math import factorial
 from operator import add
 
@@ -29,13 +30,23 @@ KINDS = (HORIZONTAL, VERTICAL)
 
 
 class ContingencyMatrix:
-    """Immutable p x q nonnegative integer grid, no zero row or column."""
+    """Immutable p x q nonnegative integer grid, no zero row or column.
+
+    The default ``check=True`` takes each entry through ``operator.index``
+    (a float, string or Fraction raises DomainError) and validates the
+    grid.  ``check=False`` trusts the caller to pass a valid grid of
+    integer entries and only turns the rows into tuples, reusing row
+    tuples as they are.
+    """
 
     __slots__ = ("rows", "p", "q", "weight")
 
     def __init__(self, rows, check=True):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
         if check:
+            try:
+                rows = tuple(tuple(map(operator.index, row)) for row in rows)
+            except TypeError as exc:
+                raise DomainError(f"entries must be integers: {exc}") from exc
             if not rows or not rows[0]:
                 raise DomainError("matrix must have at least one row and column")
             width = len(rows[0])
@@ -48,10 +59,12 @@ class ContingencyMatrix:
             for j in range(width):
                 if not any(row[j] for row in rows):
                     raise DomainError(f"zero column {j} in {rows}")
+        else:
+            rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "p", len(rows))
         object.__setattr__(self, "q", len(rows[0]))
-        object.__setattr__(self, "weight", sum(sum(row) for row in rows))
+        object.__setattr__(self, "weight", sum(map(sum, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyMatrix is immutable")
@@ -92,22 +105,33 @@ def margins(matrix):
     return matrix.weight, hor, ver
 
 
-def contract(matrix, kind, i):
-    """Merge rows i, i+1 (horizontal) or columns i, i+1 (vertical)."""
-    rows = matrix.rows
+def _check_position(matrix, kind, i):
     if kind == HORIZONTAL:
         if not 0 <= i <= matrix.p - 2:
             raise DomainError(f"row merge index {i} out of range for p={matrix.p}")
-        merged = tuple(a + b for a, b in zip(rows[i], rows[i + 1]))
-        return ContingencyMatrix(rows[:i] + (merged,) + rows[i + 2 :], check=False)
-    if kind == VERTICAL:
+    elif kind == VERTICAL:
         if not 0 <= i <= matrix.q - 2:
             raise DomainError(f"column merge index {i} out of range for q={matrix.q}")
-        return ContingencyMatrix(
-            tuple(r[:i] + (r[i] + r[i + 1],) + r[i + 2 :] for r in rows),
-            check=False,
-        )
-    raise DomainError(f"unknown contraction kind {kind!r}")
+    else:
+        raise DomainError(f"unknown contraction kind {kind!r}")
+
+
+def _contracted_rows(rows, kind, i):
+    """The row tuples after merging rows i, i+1 (horizontal) or columns
+    i, i+1 (any other kind); the caller vouches for kind and range."""
+    if kind == HORIZONTAL:
+        return rows[:i] + (tuple(map(add, rows[i], rows[i + 1])),) + rows[i + 2 :]
+    return tuple([r[:i] + (r[i] + r[i + 1],) + r[i + 2 :] for r in rows])
+
+
+def contract(matrix, kind, i):
+    """Merge rows i, i+1 (horizontal) or columns i, i+1 (vertical).
+
+    The result is built with ``check=False``, which trusts integer
+    entries: sums of a valid matrix's entries form a valid matrix.
+    """
+    _check_position(matrix, kind, i)
+    return ContingencyMatrix(_contracted_rows(matrix.rows, kind, i), check=False)
 
 
 def is_anodyne(matrix, kind, i):
@@ -116,33 +140,26 @@ def is_anodyne(matrix, kind, i):
     An anodyne contraction preserves the multiset of nonzero entries, hence
     the complex stratum of every configuration in the cell.
     """
+    _check_position(matrix, kind, i)
     rows = matrix.rows
     if kind == HORIZONTAL:
-        if not 0 <= i <= matrix.p - 2:
-            raise DomainError(f"row merge index {i} out of range for p={matrix.p}")
         return all(a == 0 or b == 0 for a, b in zip(rows[i], rows[i + 1]))
-    if kind == VERTICAL:
-        if not 0 <= i <= matrix.q - 2:
-            raise DomainError(f"column merge index {i} out of range for q={matrix.q}")
-        return all(r[i] == 0 or r[i + 1] == 0 for r in rows)
-    raise DomainError(f"unknown contraction kind {kind!r}")
+    return all(r[i] == 0 or r[i + 1] == 0 for r in rows)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-_COMP_MEMO = {}
-
-
-def _bounded_compositions(total, budgets):
+def _bounded_compositions(total, budgets, memo):
     """All tuples x with x[j] in [0, budgets[j]] and sum(x) == total.
 
-    Generated in lexicographic order; memoized, since during a census the
-    same (total, budgets) states recur across margin pairs.
+    Generated in lexicographic order.  ``memo`` belongs to one census: the
+    same (total, budgets) states recur across its margin pairs, and it is
+    dropped with the census.
     """
     capped = tuple(b if b < total else total for b in budgets)
     key = (total, capped)
-    hit = _COMP_MEMO.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     if len(capped) == 1:
@@ -155,14 +172,14 @@ def _bounded_compositions(total, budgets):
             lo = 0
         acc = []
         for x in range(lo, min(total, capped[0]) + 1):
-            for tail in _bounded_compositions(total - x, rest):
+            for tail in _bounded_compositions(total - x, rest, memo):
                 acc.append((x,) + tail)
         result = tuple(acc)
-    _COMP_MEMO[key] = result
+    memo[key] = result
     return result
 
 
-def _iter_fixed_margins(alpha, beta):
+def _iter_fixed_margins(alpha, beta, memo):
     """Raw matrices (tuples of row tuples) with the given margins.
 
     Row sums alpha and column sums beta force every row and column to be
@@ -176,14 +193,14 @@ def _iter_fixed_margins(alpha, beta):
             yield prefix + (budgets,)
             return
         ai = alpha[i]
-        for row in _bounded_compositions(ai, budgets):
+        for row in _bounded_compositions(ai, budgets, memo):
             rem = tuple(b - r for b, r in zip(budgets, row))
             yield from rec(i + 1, rem, prefix + (row,))
 
     yield from rec(0, tuple(beta), ())
 
 
-def _count_fixed_margins(alpha, beta):
+def _count_fixed_margins(alpha, beta, memo):
     """Number of matrices with the given margins, walking the same tree as
     _iter_fixed_margins but summing leaf counts instead of building rows."""
     p = len(alpha)
@@ -192,9 +209,9 @@ def _count_fixed_margins(alpha, beta):
 
     def rec(i, budgets):
         if i == p - 2:
-            return len(_bounded_compositions(alpha[i], budgets))
+            return len(_bounded_compositions(alpha[i], budgets, memo))
         total = 0
-        for row in _bounded_compositions(alpha[i], budgets):
+        for row in _bounded_compositions(alpha[i], budgets, memo):
             total += rec(i + 1, tuple(b - r for b, r in zip(budgets, row)))
         return total
 
@@ -246,12 +263,13 @@ def enumerate_cm(n=None, p=None, q=None, alpha=None, beta=None):
     """
     n, p, q, alpha, beta = _resolve_constraints(n, p, q, alpha, beta)
     guard(n, ENUMERATION_CAP, "contingency matrix enumeration")
+    memo = {}
     out = []
     for _, _, alphas, betas in _margin_pairs(n, p, q, alpha, beta):
         block = []
         for a in alphas:
             for b in betas:
-                block.extend(_iter_fixed_margins(a.parts, b.parts))
+                block.extend(_iter_fixed_margins(a.parts, b.parts, memo))
         block.sort()
         out.extend(ContingencyMatrix(rows, check=False) for rows in block)
     return out
@@ -261,9 +279,12 @@ def count_cm_by_size(n=None, p=None, q=None, alpha=None, beta=None):
     """dict (p, q) -> count of matrices of that size meeting the constraints."""
     n, p, q, alpha, beta = _resolve_constraints(n, p, q, alpha, beta)
     guard(n, ENUMERATION_CAP, "contingency matrix enumeration")
+    memo = {}
     return {
         (pp, qq): sum(
-            _count_fixed_margins(a.parts, b.parts) for a in alphas for b in betas
+            _count_fixed_margins(a.parts, b.parts, memo)
+            for a in alphas
+            for b in betas
         )
         for pp, qq, alphas, betas in _margin_pairs(n, p, q, alpha, beta)
     }
@@ -359,23 +380,31 @@ class CmPoset:
     """CM_n with its covers (single contractions) and the contraction order.
 
     ``covers`` lists (child, parent, kind, position) with
-    parent = contract(child, kind, position); the poset order makes the
-    contracted (coarser) matrix the larger one.  ``leq`` decides the order
-    from two matrices alone by the block-sum rule.
+    parent = contract(child, kind, position), children in element order,
+    then horizontal before vertical, then by position; the poset order
+    makes the contracted (coarser) matrix the larger one.  ``leq`` decides
+    the order from two matrices alone by the block-sum rule.  ``elements``
+    must be closed under contraction, as all of CM_n is.
     """
 
-    def __init__(self, n, elements, covers):
+    def __init__(self, n, elements):
         self.n = n
         self.elements = tuple(elements)
-        self.covers = tuple(covers)
-        self.index = {m.rows: i for i, m in enumerate(self.elements)}
+        self.index = index = {m.rows: i for i, m in enumerate(self.elements)}
+        covers = []
         up = [[] for _ in self.elements]
         down = [[] for _ in self.elements]
-        for child, parent, kind, pos in self.covers:
-            up[child].append((parent, kind, pos))
-            down[parent].append((child, kind, pos))
-        self.up = tuple(tuple(x) for x in up)
-        self.down = tuple(tuple(x) for x in down)
+        for child, m in enumerate(self.elements):
+            rows = m.rows
+            for kind, limit in ((HORIZONTAL, m.p - 1), (VERTICAL, m.q - 1)):
+                for pos in range(limit):
+                    parent = index[_contracted_rows(rows, kind, pos)]
+                    covers.append((child, parent, kind, pos))
+                    up[child].append((parent, kind, pos))
+                    down[parent].append((child, kind, pos))
+        self.covers = tuple(covers)
+        self.up = tuple(map(tuple, up))
+        self.down = tuple(map(tuple, down))
 
     def __len__(self):
         return len(self.elements)
@@ -437,15 +466,7 @@ class CmPoset:
 def build_poset(n):
     """Enumerate CM_n and record every single-contraction cover."""
     guard(n, POSET_CAP, "contingency poset construction")
-    elements = enumerate_cm(n)
-    index = {m.rows: i for i, m in enumerate(elements)}
-    covers = []
-    for child, m in enumerate(elements):
-        for kind, limit in ((HORIZONTAL, m.p - 1), (VERTICAL, m.q - 1)):
-            for pos in range(limit):
-                parent = index[contract(m, kind, pos).rows]
-                covers.append((child, parent, kind, pos))
-    return CmPoset(n, elements, covers)
+    return CmPoset(n, enumerate_cm(n))
 
 
 def poset_to_json(poset):

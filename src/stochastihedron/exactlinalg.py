@@ -6,9 +6,31 @@ form works over arbitrary-precision integers with pivoting on the
 smallest nonzero entry to keep coefficients from exploding.
 """
 
+import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import DomainError
+
+
+def parse_rational(value):
+    """An exact rational from a JSON number or string ("3", "-1/2", "1.5e-3").
+
+    A decimal that takes more digits written out (mantissa digits plus
+    |exponent|) than Python's int-string limit is refused before
+    ``Fraction`` builds its power of ten: a report could not print it, and
+    a power like 10**999999999 takes minutes or more.  Raises ValueError
+    (or ZeroDivisionError for "1/0") on anything else ``Fraction`` refuses.
+    """
+    text = str(value)
+    try:
+        _, digits, exponent = Decimal(text).as_tuple()
+    except InvalidOperation:  # fractions such as "1/2"
+        digits, exponent = (), 0
+    limit = sys.get_int_max_str_digits()
+    if isinstance(exponent, int) and limit and len(digits) + abs(exponent) > limit:
+        raise ValueError(f"decimal takes more than {limit} digits written out")
+    return Fraction(text)
 
 
 def identity(n):

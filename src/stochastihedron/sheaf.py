@@ -24,7 +24,7 @@ from .contingency import (
 )
 from .errors import DomainError, StructuralError
 from .limits import CONSTANT_SHEAF_CAP, guard
-from .exactlinalg import rank
+from .exactlinalg import parse_rational, rank
 
 STRATIFICATIONS = ("cont", "fnf", "ifnf", "complex")
 
@@ -89,8 +89,11 @@ class PosetRepresentation:
                 raise StructuralError(f"space index {i} out of range")
             dims[i] = _json_int(value, f"dimension of space {i}")
         covers = {(child, parent) for child, parent, _, _ in poset.covers}
+        items = data.get("maps", [])
+        if not isinstance(items, list):
+            raise StructuralError('"maps" must be a list')
         maps = {}
-        for item in data.get("maps", []):
+        for item in items:
             if not isinstance(item, dict) or {"from", "to", "matrix"} - item.keys():
                 raise StructuralError('every map needs "from", "to" and "matrix"')
             pair = _json_int(item["from"], '"from"'), _json_int(item["to"], '"to"')
@@ -99,7 +102,7 @@ class PosetRepresentation:
             if pair in maps:
                 raise StructuralError(f"duplicate map for cover {pair[0]} -> {pair[1]}")
             try:
-                maps[pair] = [[Fraction(str(x)) for x in row] for row in item["matrix"]]
+                maps[pair] = [[parse_rational(x) for x in row] for row in item["matrix"]]
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise StructuralError(f"bad matrix for map {pair}: {exc}") from exc
         # implicit empty matrices wherever one endpoint is 0-dimensional

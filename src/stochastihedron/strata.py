@@ -21,20 +21,19 @@ All coordinates are exact rationals: collision detection is equality of
 fractions, never a floating-point tolerance.
 """
 
-import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .contingency import (
     HORIZONTAL,
     VERTICAL,
     ContingencyMatrix,
-    contract,
+    _contracted_rows,
     enumerate_cm,
     is_anodyne,
 )
 from .errors import DomainError, StructuralError
+from .exactlinalg import parse_rational
 from .limits import ANODYNE_CAP, MEET_CAP, guard
 from .partitions import OrderedPartition, as_partition
 
@@ -71,26 +70,10 @@ class PointConfiguration:
         pts = []
         for item in data["points"]:
             try:
-                pts.append((_coordinate(item["re"]), _coordinate(item["im"])))
+                pts.append((parse_rational(item["re"]), parse_rational(item["im"])))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise StructuralError(f"bad point entry {item!r}: {exc}") from exc
         return cls(tuple(pts))
-
-
-def _coordinate(value):
-    """An exact coordinate from a JSON number or string.  A decimal that
-    takes more digits written out than Python's int-string limit is
-    refused before ``Fraction`` builds its power of ten: the report could
-    not print it, and a power like 10**999999999 takes minutes or more."""
-    text = str(value)
-    try:
-        _, digits, exponent = Decimal(text).as_tuple()
-    except InvalidOperation:  # fractions such as "1/2"
-        digits, exponent = (), 0
-    limit = sys.get_int_max_str_digits()
-    if isinstance(exponent, int) and limit and len(digits) + abs(exponent) > limit:
-        raise ValueError(f"decimal takes more than {limit} digits written out")
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -388,7 +371,7 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL)):
             limit = m.p - 1 if kind == HORIZONTAL else m.q - 1
             for pos in range(limit):
                 if is_anodyne(m, kind, pos):
-                    uf.union(i, index[contract(m, kind, pos).rows])
+                    uf.union(i, index[_contracted_rows(m.rows, kind, pos)])
     classes = {}
     for i in range(len(elements)):
         classes.setdefault(uf.find(i), []).append(i)

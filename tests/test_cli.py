@@ -1,10 +1,15 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stochastihedron import cli, constant_sheaf
 
@@ -214,6 +219,7 @@ def test_classify_accepts_exponent_at_the_digit_limit(tmp_path):
     [
         pytest.param(b'{"points": [{"re": "\xff", "im": "0"}]}', id="not-utf8"),
         pytest.param(b'{"n": ' + b"9" * 4301 + b"}", id="int-over-4300-digits"),
+        pytest.param(b"[" * 200000 + b"]" * 200000, id="nested-200000-deep"),
     ],
 )
 def test_unreadable_json_input_exits_2(tmp_path, command, payload):
@@ -302,6 +308,16 @@ def _first_map(rep):
             "bad matrix",
             id="bad-entry",
         ),
+        pytest.param(
+            lambda r: _first_map(r).update({"matrix": [["1e999999999"]]}),
+            "digits written out",
+            id="huge-exponent-entry",
+        ),
+        pytest.param(
+            lambda r: r.update({"maps": 5}),
+            '"maps" must be a list',
+            id="maps-not-a-list",
+        ),
     ],
 )
 def test_sheaf_check_malformed_representation(tmp_path, edit, message):
@@ -343,3 +359,122 @@ def test_pretty_output():
     proc = run_cli("--pretty", "--stable", "f-vector", "--n", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("f-vector: PASS")
+
+
+# ---------------------------------------------------------------------------
+# property tests: random JSON through the CLI keeps the exit-code contract
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# texts that once broke an input check, or come close to the digit limit
+hostile_texts = st.sampled_from(
+    ["1/0", "1e999999999", "-1e-999999999", "12345e4296", "1e4299", "nan", "x"]
+)
+numbers = (
+    hostile_texts
+    | st.fractions().map(str)
+    | st.decimals().map(str)
+    | st.integers()
+    | st.floats()
+    | json_values
+)
+
+points = st.fixed_dictionaries({"re": numbers, "im": numbers}) | json_values
+classify_payloads = (
+    st.fixed_dictionaries({"points": st.lists(points, max_size=5)}) | json_values
+)
+
+# n is at most 2 or past the cap: a representation at n = 6 or 7 takes
+# seconds to minutes to build.  Dimensions stay at most 2: they have no
+# cap, and each million in one space costs about 150 MB and 4 s.
+indices = st.integers(-1, 5) | json_scalars
+matrices = st.lists(st.lists(numbers, max_size=3), max_size=3) | json_values
+map_items = (
+    st.fixed_dictionaries({"from": indices, "to": indices, "matrix": matrices})
+    | json_values
+)
+random_representations = st.fixed_dictionaries(
+    {
+        "n": st.sampled_from([1, 2, "2", 0, -1, 2.5, True, None, "x", 10**6]),
+        "spaces": st.dictionaries(
+            st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "x", ""]),
+            st.sampled_from([0, 1, 2, -1, "1", None, 1.5, [1]]),
+            max_size=6,
+        )
+        | json_values,
+    },
+    optional={"maps": st.lists(map_items, max_size=8) | json_values},
+)
+
+
+@st.composite
+def edited_constant_sheaves(draw):
+    """The n = 2 constant sheaf with some of its fields or cover maps replaced."""
+    rep = constant_sheaf(2, 1).to_json()
+    for _ in range(draw(st.integers(1, 3))):
+        item = draw(st.sampled_from(rep["maps"]))
+        field = draw(st.sampled_from(["matrix", "entry", "from", "to", "maps"]))
+        if field == "matrix":
+            item["matrix"] = draw(matrices)
+        elif field == "entry":
+            item["matrix"] = [[draw(hostile_texts | numbers)]]
+        elif field in ("from", "to"):
+            item[field] = draw(indices)
+        else:
+            rep["maps"] = draw(json_scalars | json_values)
+            break
+    return rep
+
+
+sheaf_payloads = edited_constant_sheaves() | random_representations | json_values
+
+
+def run_in_process(argv, payload):
+    """cli.main on a JSON input file; an uncaught exception fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--input", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(code, out, err):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        assert json.loads(out)["pass"] is (code == 0)
+
+
+property_settings = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@property_settings
+@given(classify_payloads)
+def test_classify_keeps_exit_contract(payload):
+    assert_exit_contract(*run_in_process(["classify"], payload))
+
+
+@property_settings
+@given(sheaf_payloads, st.sampled_from(["cont", "fnf", "ifnf", "complex"]))
+def test_sheaf_check_keeps_exit_contract(payload, strat):
+    assert_exit_contract(*run_in_process(["sheaf-check", "--strat", strat], payload))

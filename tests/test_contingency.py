@@ -1,7 +1,9 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from stochastihedron import contingency
 from stochastihedron.contingency import (
     HORIZONTAL,
     VERTICAL,
@@ -10,6 +12,7 @@ from stochastihedron.contingency import (
     colored_lift_count,
     contract,
     count_cm,
+    count_cm_by_size,
     double_coset_count,
     enumerate_cm,
     is_anodyne,
@@ -46,6 +49,23 @@ def test_validation():
         cm([])
 
 
+@pytest.mark.parametrize("entry", [1.5, 1.0, "x", "1", Fraction(1, 2), Fraction(1), None])
+def test_checked_constructor_refuses_non_integer_entries(entry):
+    with pytest.raises(DomainError, match="entries must be integers"):
+        cm([[1, entry]])
+
+
+def test_unchecked_constructor_matches_checked():
+    checked = cm([[1, 0], [2, 1]])
+    unchecked = ContingencyMatrix([[1, 0], [2, 1]], check=False)
+    assert unchecked == checked
+    assert hash(unchecked) == hash(checked)
+    assert unchecked.rows == ((1, 0), (2, 1))
+    assert (unchecked.p, unchecked.q, unchecked.weight) == (2, 2, 4)
+    rows = ((1, 0), (0, 1))
+    assert all(a is b for a, b in zip(ContingencyMatrix(rows, check=False).rows, rows))
+
+
 def test_margins_examples():
     w, hor, ver = margins(cm([[1, 0], [0, 1]]))
     assert (w, hor.parts, ver.parts) == (2, (1, 1), (1, 1))
@@ -63,6 +83,10 @@ def test_contract_examples():
         contract(cm([[1, 1]]), HORIZONTAL, 0)
     with pytest.raises(DomainError):
         contract(cm([[1, 1]]), VERTICAL, 1)
+    with pytest.raises(DomainError):
+        contract(cm([[1, 1]]), VERTICAL, -1)
+    with pytest.raises(DomainError):
+        contract(cm([[1, 1]]), "diagonal", 0)
 
 
 def test_is_anodyne_examples():
@@ -105,6 +129,21 @@ def test_enumerate_inconsistent_constraints():
         enumerate_cm()
     with pytest.raises(CapacityError):
         count_cm(8)
+
+
+def test_census_leaves_no_module_level_memo():
+    def container_sizes():
+        return {
+            name: len(value)
+            for name, value in vars(contingency).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    before = container_sizes()
+    enumerate_cm(5)
+    count_cm_by_size(5)
+    assert container_sizes() == before
+    assert not hasattr(contingency, "_COMP_MEMO")
 
 
 def test_margins_constrain_enumeration():
@@ -216,6 +255,19 @@ def test_poset_extremes():
             m = poset.elements[i]
             assert m.p == n and m.q == n
             assert sorted(sum(m.rows, ())) == [0] * (n * n - n) + [1] * n
+
+
+def test_covers_are_the_single_contractions():
+    for n in range(1, 6):
+        poset = build_poset(n)
+        elements = poset.elements
+        for child, parent, kind, pos in poset.covers:
+            assert elements[parent] == contract(elements[child], kind, pos)
+        assert set(poset.covers) == {
+            (child, poset.element_index(contract(m, kind, pos)), kind, pos)
+            for child, m in enumerate(elements)
+            for kind, pos in all_contractions(m)
+        }
 
 
 def test_poset_n1_and_n2():
