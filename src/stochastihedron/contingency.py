@@ -78,10 +78,6 @@ class ContingencyMatrix:
     def __repr__(self):
         return f"ContingencyMatrix({[list(r) for r in self.rows]})"
 
-    @property
-    def sort_key(self):
-        return (self.p, self.q, self.rows)
-
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 

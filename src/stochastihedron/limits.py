@@ -19,6 +19,7 @@ ANODYNE_CAP = 5           # union-find over anodyne contractions
 MEET_CAP = 6              # grouping CM_n by label pairs
 DOUBLE_COSET_CAP = 6      # orbit enumeration inside S_n
 CONSTANT_SHEAF_CAP = 5
+SHEAF_DIM_CAP = 8         # dimension of one space of a representation
 TOTAL_POSITIVITY_CAP = 7  # matrix size, all-minors scan
 DET_DIRECT_CAP = 12       # exact determinant of the meta-matrix
 RATIONAL_IDENTITY_CAP = 20

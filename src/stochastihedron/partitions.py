@@ -98,6 +98,25 @@ def contract_partition(alpha, i):
     )
 
 
+def block_bounds(coarse, fine):
+    """The (start, end) index pairs that split fine.parts into consecutive
+    blocks summing, in order, to the parts of coarse; None when coarse
+    does not coarsen fine."""
+    fparts = fine.parts
+    bounds = []
+    k = 0
+    for part in coarse.parts:
+        start = k
+        acc = 0
+        while acc < part and k < len(fparts):
+            acc += fparts[k]
+            k += 1
+        if acc != part:
+            return None
+        bounds.append((start, k))
+    return bounds if k == len(fparts) else None
+
+
 def refines(coarse, fine):
     """True iff consecutive blocks of `fine` sum, in order, to the parts of
     `coarse`; equivalently `coarse` arises from `fine` by contractions."""
@@ -107,16 +126,7 @@ def refines(coarse, fine):
         raise DomainError(
             f"weights differ: {coarse.weight} vs {fine.weight}"
         )
-    k = 0
-    fparts = fine.parts
-    for part in coarse.parts:
-        acc = 0
-        while acc < part:
-            acc += fparts[k]
-            k += 1
-        if acc != part:
-            return False
-    return k == len(fparts)
+    return block_bounds(coarse, fine) is not None
 
 
 def partition_to_subset(alpha):

@@ -23,7 +23,7 @@ from .contingency import (
     is_anodyne,
 )
 from .errors import DomainError, StructuralError
-from .limits import CONSTANT_SHEAF_CAP, guard
+from .limits import CONSTANT_SHEAF_CAP, SHEAF_DIM_CAP, guard
 from .exactlinalg import parse_rational, rank
 
 STRATIFICATIONS = ("cont", "fnf", "ifnf", "complex")
@@ -88,6 +88,7 @@ class PosetRepresentation:
             if not 0 <= i < len(poset):
                 raise StructuralError(f"space index {i} out of range")
             dims[i] = _json_int(value, f"dimension of space {i}")
+            guard(dims[i], SHEAF_DIM_CAP, f"dimension of space {i}")
         covers = {(child, parent) for child, parent, _, _ in poset.covers}
         items = data.get("maps", [])
         if not isinstance(items, list):
@@ -101,8 +102,15 @@ class PosetRepresentation:
                 raise StructuralError(f"map {pair[0]} -> {pair[1]} is not on a cover")
             if pair in maps:
                 raise StructuralError(f"duplicate map for cover {pair[0]} -> {pair[1]}")
+            matrix = item["matrix"]
+            if not isinstance(matrix, list) or not all(
+                isinstance(row, list) for row in matrix
+            ):
+                raise StructuralError(
+                    f"matrix for map {pair[0]} -> {pair[1]} must be a list of lists"
+                )
             try:
-                maps[pair] = [[parse_rational(x) for x in row] for row in item["matrix"]]
+                maps[pair] = [[parse_rational(x) for x in row] for row in matrix]
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise StructuralError(f"bad matrix for map {pair}: {exc}") from exc
         # implicit empty matrices wherever one endpoint is 0-dimensional
@@ -130,6 +138,7 @@ def constant_sheaf(n, dim):
     guard(n, CONSTANT_SHEAF_CAP, "constant sheaf construction")
     if dim < 0:
         raise DomainError("dimension must be nonnegative")
+    guard(dim, SHEAF_DIM_CAP, "constant sheaf dimension")
     poset = build_poset(n)
     eye = [
         [Fraction(1) if i == j else Fraction(0) for j in range(dim)]

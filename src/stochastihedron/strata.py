@@ -35,7 +35,7 @@ from .contingency import (
 from .errors import DomainError, StructuralError
 from .exactlinalg import parse_rational
 from .limits import ANODYNE_CAP, MEET_CAP, guard
-from .partitions import OrderedPartition, as_partition
+from .partitions import OrderedPartition, as_partition, block_bounds
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,6 @@ class FnfLabel:
         return self.beta.weight
 
     @property
-    def gamma_flat(self):
-        """All patterns concatenated: a single partition refining beta."""
-        parts = ()
-        for g in self.gamma:
-            parts += g.parts
-        return OrderedPartition(parts)
-
-    @property
     def dimension(self):
         return self.beta.length + sum(g.length for g in self.gamma)
 
@@ -224,23 +216,6 @@ def classify(config):
     }
 
 
-def _beta_blocks(coarse, fine):
-    """Indices splitting fine.parts into consecutive blocks that sum to the
-    parts of coarse, or None when coarse does not coarsen fine."""
-    blocks = []
-    k = 0
-    for part in coarse.parts:
-        start = k
-        acc = 0
-        while acc < part and k < len(fine.parts):
-            acc += fine.parts[k]
-            k += 1
-        if acc != part:
-            return None
-        blocks.append((start, k))
-    return blocks if k == len(fine.parts) else None
-
-
 def _shuffle_merge_reachable(target, sources):
     """Whether `target` arises by interleaving the source sequences (each
     keeping its internal order) and then summing adjacent runs.
@@ -311,7 +286,7 @@ def fnf_closure_leq(a, b):
     """
     if a.weight != b.weight:
         raise DomainError(f"weights differ: {a.weight} vs {b.weight}")
-    blocks = _beta_blocks(a.beta, b.beta)
+    blocks = block_bounds(a.beta, b.beta)
     if blocks is None:
         return False
     for j, (start, end) in enumerate(blocks):

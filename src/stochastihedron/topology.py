@@ -3,20 +3,18 @@
 The homology pipeline is built for the lower intervals of the contraction
 poset, whose order complexes are barycentric subdivisions of cells and
 spheres: a chain of weight n can involve up to 2n-1 matrices, and the
-full interval below the 1x1 matrix has tens of thousands of simplices
-already at n = 4.  Plain Smith normal form on boundary matrices of that
-size is hopeless, so ``homology`` first shrinks the complex by cancelling
-homology-neutral cell pairs:
-
-* a *free pair* (a, b): a has exactly one remaining coface b;
-* a *coreduction pair* (a, b): b has exactly one remaining face a.
-
-Both removals leave every other boundary coefficient untouched, so during
-this phase the current boundary of a cell is just its original face list
-restricted to the surviving cells - no matrix arithmetic at all.  The
-leftover complex (usually a handful of cells, empty for contractible
-inputs) is finished off by exact sparse elimination on unit pivots and
-dense Smith normal form over the integers.
+strict interval below the 1x1 matrix already has 159,056 simplices at
+n = 4.  Plain Smith normal form on boundary matrices of that size is
+hopeless, so ``homology`` first shrinks the complex by coreductions
+(Mrozek and Batko, "Coreduction homology algorithm", Discrete Comput.
+Geom. 41, 2009): a cell b with exactly one remaining face a is retired
+together with a.  The pair is homology-neutral, and the boundary of every
+other cell is just its original face list restricted to the surviving
+cells, so this phase does no matrix arithmetic at all.  On the lower
+intervals of CM_n up to n = 4 coreductions leave one cell of each sphere
+and nothing of the cone over the whole poset; whatever is left is
+finished off by dense Smith normal form over the integers, one degree at
+a time.
 
 Reduced homology conventions: the empty simplex is a genuine cell in
 degree -1, the empty complex is the (-1)-sphere with betti(-1) = 1, and a
@@ -166,10 +164,6 @@ class SimplicialComplex:
                         if s[:k] + s[k + 1 :] not in seen[d - 1]:
                             raise DomainError(f"face of {s} is missing")
 
-    @property
-    def dimension(self):
-        return len(self.simplices) - 1
-
     def f_vector(self):
         return {d: len(level) for d, level in enumerate(self.simplices)}
 
@@ -228,7 +222,14 @@ def order_complex(poset):
 # homology
 
 def homology(complex_):
-    """Reduced integral homology via pair cancellation plus exact SNF.
+    """Reduced integral homology by coreductions, then exact dense SNF.
+
+    Coreductions retire each cell that has exactly one live face together
+    with that face; the surviving cells keep their original boundaries,
+    restricted to live faces with sign (-1)^k for face k, and each degree's
+    boundary matrix goes to Smith normal form.  Coreductions start from the
+    empty simplex, so of a complex with several connected components only
+    one is swept; the others reach Smith normal form whole.
 
     Raises RuntimeError if the Euler characteristics of the input and of
     the computed profile disagree (an internal consistency cross-check).
@@ -262,121 +263,40 @@ def homology(complex_):
         for f in fs:
             cofaces[f].append(g)
 
+    # coreductions: a cell with exactly one live face goes with that face
     live = bytearray([1]) * n_cells
-    nface = [len(faces[g]) for g in range(n_cells)]
-    ncoface = [len(cofaces[g]) for g in range(n_cells)]
-
-    from collections import deque
-
-    queue = deque(g for g in range(n_cells) if nface[g] == 1 or ncoface[g] == 1)
-
-    def retire(g):
-        live[g] = 0
-        for e in cofaces[g]:
-            if live[e]:
-                nface[e] -= 1
-                if nface[e] == 1:
-                    queue.append(e)
-        for f in faces[g]:
-            if live[f]:
-                ncoface[f] -= 1
-                if ncoface[f] == 1:
-                    queue.append(f)
-
-    while queue:
-        g = queue.popleft()
-        if not live[g]:
+    nface = [len(fs) for fs in faces]
+    work = [g for g in range(n_cells) if nface[g] == 1]
+    while work:
+        b = work.pop()
+        if not live[b] or nface[b] != 1:
             continue
-        if nface[g] == 1:
-            partner = next(f for f in faces[g] if live[f])
-            live_pair = (partner, g)
-        elif ncoface[g] == 1:
-            partner = next(e for e in cofaces[g] if live[e])
-            live_pair = (g, partner)
-        else:
-            continue
-        a, b = live_pair
-        retire(b)
-        retire(a)
+        a = next(f for f in faces[b] if live[f])
+        live[a] = live[b] = 0
+        for g in (a, b):
+            for e in cofaces[g]:
+                if live[e]:
+                    nface[e] -= 1
+                    if nface[e] == 1:
+                        work.append(e)
 
-    # remaining cells: explicit sparse boundary with original signs
-    rows = {}  # face -> {cell: coeff}
-    cols = {}  # cell -> {face: coeff}
-    remaining = [g for g in range(n_cells) if live[g]]
-    for g in remaining:
-        col = {}
-        for k, f in enumerate(faces[g]):
-            if live[f]:
-                col[f] = 1 if k % 2 == 0 else -1
-        cols[g] = col
-        for f, v in col.items():
-            rows.setdefault(f, {})[g] = v
-    for g in remaining:
-        rows.setdefault(g, {})
-
-    def eliminate(a, b):
-        u = cols[b].pop(a)
-        rows[a].pop(b)
-        bcol = list(cols[b].items())
-        for c in list(rows[a].keys()):
-            lam = cols[c].pop(a)
-            rows[a].pop(c)
-            factor = lam * u
-            if bcol:
-                col_c = cols[c]
-                for f, v in bcol:
-                    new = col_c.get(f, 0) - factor * v
-                    if new:
-                        col_c[f] = new
-                        rows[f][c] = new
-                    else:
-                        col_c.pop(f, None)
-                        rows[f].pop(c, None)
-        # drop a entirely (its own boundary too) and b's appearances above
-        for f in cols.pop(a, {}):
-            rows[f].pop(a, None)
-        rows.pop(a, None)
-        for e in rows.pop(b, {}):
-            cols[e].pop(b, None)
-        for f in cols.pop(b, {}):
-            rows[f].pop(b, None)
-        dead.add(a)
-        dead.add(b)
-
-    dead = set()
-    while True:
-        best = None
-        for b, col in cols.items():
-            for a, v in col.items():
-                if v == 1 or v == -1:
-                    fill = (len(rows[a]) - 1) * (len(col) - 1)
-                    if best is None or fill < best[0]:
-                        best = (fill, a, b)
-                        if fill == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        eliminate(best[1], best[2])
-
-    # dense Smith normal form on whatever survived
-    final = [g for g in remaining if g not in dead]
+    # dense Smith normal form, degree by degree, on the surviving cells
     by_dim = {}
-    for g in final:
-        by_dim.setdefault(dim_of[g], []).append(g)
+    for g in range(n_cells):
+        if live[g]:
+            by_dim.setdefault(dim_of[g], []).append(g)
     ranks = {}
     torsion_by_degree = {}
     for d, cells_d in sorted(by_dim.items()):
-        below = by_dim.get(d - 1, [])
+        below = by_dim.get(d - 1)
         if not below:
-            ranks[d] = 0
             continue
         row_pos = {f: i for i, f in enumerate(below)}
         matrix = [[0] * len(cells_d) for _ in below]
         for j, g in enumerate(cells_d):
-            for f, v in cols[g].items():
-                matrix[row_pos[f]][j] = v
+            for k, f in enumerate(faces[g]):
+                if live[f]:
+                    matrix[row_pos[f]][j] = 1 if k % 2 == 0 else -1
         factors = smith_normal_form(matrix)
         ranks[d] = len(factors)
         big = [f for f in factors if f > 1]

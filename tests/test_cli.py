@@ -318,6 +318,21 @@ def _first_map(rep):
             '"maps" must be a list',
             id="maps-not-a-list",
         ),
+        pytest.param(
+            lambda r: _first_map(r).update({"matrix": "1"}),
+            "list of lists",
+            id="matrix-is-string",
+        ),
+        pytest.param(
+            lambda r: _first_map(r).update({"matrix": {"1": 0}}),
+            "list of lists",
+            id="matrix-is-object",
+        ),
+        pytest.param(
+            lambda r: _first_map(r).update({"matrix": ["1"]}),
+            "list of lists",
+            id="row-is-string",
+        ),
     ],
 )
 def test_sheaf_check_malformed_representation(tmp_path, edit, message):
@@ -328,6 +343,18 @@ def test_sheaf_check_malformed_representation(tmp_path, edit, message):
     proc = run_cli("--stable", "sheaf-check", "--input", str(path))
     assert proc.returncode == 2
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_representation_dimension_is_capped(tmp_path):
+    proc = run_cli("--stable", "constant-sheaf", "--n", "2", "--dim", "1000000000")
+    assert proc.returncode == 3
+    assert "capped" in proc.stderr
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": 2, "spaces": {"0": "1000000000"}, "maps": []}))
+    proc = run_cli("--stable", "sheaf-check", "--input", str(path))
+    assert proc.returncode == 3
+    assert "capped" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -181,8 +181,15 @@ def test_pipeline_matches_naive_homology_on_random_complexes():
 def test_pipeline_matches_naive_homology_on_known_spaces():
     rp2 = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
            (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+    # 7-vertex torus, as in test_torus
+    torus = sorted(
+        {tuple(sorted((i, (i + a) % 7, (i + 3) % 7)))
+         for i in range(7) for a in (1, 2)}
+    )
     for maximal, nv in (
         (rp2, 6),
+        ([t + (6,) for t in rp2], 7),                    # cone over RP^2
+        (torus, 7),
         (list(itertools.combinations(range(5), 4)), 5),  # the 3-sphere
         ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], 6),   # circle + segment
     ):
