@@ -12,6 +12,7 @@ across runs; --pretty renders a small human-readable summary instead.
 """
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -247,8 +248,8 @@ def _cmd_sheaf_check(args):
 
 def _cmd_constant_sheaf(args):
     rep = sheaf.constant_sheaf(args.n, args.dim)
-    sheaf.validate(rep)
-    return True, {"claim": "constant-sheaf", "representation": rep.to_json()}
+    valid = sheaf.validate(rep)["valid"]
+    return valid, {"claim": "constant-sheaf", "representation": rep.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +326,7 @@ def build_parser():
 
     p = sub.add_parser("sheaf-check", help="constructibility of a representation")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument(
-        "--strat", choices=("cont", "fnf", "ifnf", "complex"), default="complex"
-    )
+    p.add_argument("--strat", choices=sheaf.STRATIFICATIONS, default="complex")
     p.set_defaults(handler=_cmd_sheaf_check)
 
     p = sub.add_parser("constant-sheaf", help="emit a constant representation")
@@ -384,7 +383,11 @@ def main(argv=None):
     if args.pretty:
         sys.stdout.write(_render_pretty(report))
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        # one write per batch of encoder chunks, not one per chunk: an
+        # unbuffered stdout would otherwise see millions of writes
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        for first in chunks:
+            sys.stdout.write(first + "".join(itertools.islice(chunks, 4095)))
         sys.stdout.write("\n")
     return EXIT_PASS if passed else EXIT_FAIL
 

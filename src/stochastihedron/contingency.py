@@ -451,6 +451,15 @@ class CmPoset:
             self.element_index(small), self.element_index(large), (VERTICAL,)
         )
 
+    def anodyne_covers(self, kinds=KINDS):
+        """The covers of these kinds whose two merged slices have disjoint
+        supports (``is_anodyne``), in cover order."""
+        return [
+            (child, parent, kind, pos)
+            for child, parent, kind, pos in self.covers
+            if kind in kinds and is_anodyne(self.elements[child], kind, pos)
+        ]
+
     def maximum(self):
         """Index of the 1x1 matrix (n)."""
         return self.element_index(ContingencyMatrix(((self.n,),), check=False))

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the integers and rationals.
 
 Everything here is sign-exact: determinants use fraction-free Bareiss
-elimination, ranks use rational Gaussian elimination, and Smith normal
-form works over arbitrary-precision integers with pivoting on the
-smallest nonzero entry to keep coefficients from exploding.
+elimination over the integers or the rationals, and Smith normal form
+works over arbitrary-precision integers with pivoting on the smallest
+nonzero entry to keep coefficients from exploding.
 """
 
 import sys
@@ -101,34 +101,6 @@ def determinant(rows):
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def rank(rows):
-    """Rank over the rationals by Gaussian elimination."""
-    if not rows:
-        return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def smith_normal_form(rows):

@@ -15,18 +15,18 @@ the contingency stratification itself.
 
 from fractions import Fraction
 
-from .contingency import (
-    HORIZONTAL,
-    VERTICAL,
-    CmPoset,
-    build_poset,
-    is_anodyne,
-)
+from .contingency import HORIZONTAL, VERTICAL, CmPoset, build_poset
 from .errors import DomainError, StructuralError
 from .limits import CONSTANT_SHEAF_CAP, SHEAF_DIM_CAP, guard
-from .exactlinalg import parse_rational, rank
+from .exactlinalg import determinant, parse_rational
 
-STRATIFICATIONS = ("cont", "fnf", "ifnf", "complex")
+# stratification -> the kinds of anodyne cover whose maps must be invertible
+STRATIFICATIONS = {
+    "cont": (),
+    "fnf": (HORIZONTAL,),
+    "ifnf": (VERTICAL,),
+    "complex": (HORIZONTAL, VERTICAL),
+}
 
 
 class PosetRepresentation:
@@ -230,9 +230,7 @@ def validate(rep):
 def _is_isomorphism(matrix, dim_to, dim_from):
     if dim_to != dim_from:
         return False
-    if dim_to == 0:
-        return True
-    return rank([list(r) for r in matrix]) == dim_to
+    return dim_to == 0 or determinant(matrix) != 0
 
 
 def is_constructible(rep, strat):
@@ -240,22 +238,10 @@ def is_constructible(rep, strat):
     stratification; returns (ok, witness), the witness naming the first
     anodyne cover whose map fails to be invertible."""
     if strat not in STRATIFICATIONS:
-        raise DomainError(f"stratification must be one of {STRATIFICATIONS}")
+        raise DomainError(f"stratification must be one of {tuple(STRATIFICATIONS)}")
     if not rep.validated:
         raise StructuralError("validate() the representation first")
-    if strat == "cont":
-        return True, None
-    wanted = {
-        "fnf": (HORIZONTAL,),
-        "ifnf": (VERTICAL,),
-        "complex": (HORIZONTAL, VERTICAL),
-    }[strat]
-    poset = rep.poset
-    for child, parent, kind, pos in poset.covers:
-        if kind not in wanted:
-            continue
-        if not is_anodyne(poset.elements[child], kind, pos):
-            continue
+    for child, parent, kind, pos in rep.poset.anodyne_covers(STRATIFICATIONS[strat]):
         matrix = rep.map_for(child, parent)
         if not _is_isomorphism(matrix, rep.dims[parent], rep.dims[child]):
             witness = {

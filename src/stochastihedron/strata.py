@@ -28,9 +28,8 @@ from .contingency import (
     HORIZONTAL,
     VERTICAL,
     ContingencyMatrix,
-    _contracted_rows,
+    build_poset,
     enumerate_cm,
-    is_anodyne,
 )
 from .errors import DomainError, StructuralError
 from .exactlinalg import parse_rational
@@ -338,15 +337,11 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL)):
             f"kinds must be horizontal, vertical, or both; got {kinds}"
         )
     fiber_name, fiber_map = _FIBER_LABELS[kinds]
-    elements = enumerate_cm(n)
-    index = {m.rows: i for i, m in enumerate(elements)}
+    poset = build_poset(n)
+    elements = poset.elements
     uf = _UnionFind(len(elements))
-    for i, m in enumerate(elements):
-        for kind in kinds:
-            limit = m.p - 1 if kind == HORIZONTAL else m.q - 1
-            for pos in range(limit):
-                if is_anodyne(m, kind, pos):
-                    uf.union(i, index[_contracted_rows(m.rows, kind, pos)])
+    for child, parent, _, _ in poset.anodyne_covers(kinds):
+        uf.union(child, parent)
     classes = {}
     for i in range(len(elements)):
         classes.setdefault(uf.find(i), []).append(i)

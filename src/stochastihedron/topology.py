@@ -228,8 +228,8 @@ def homology(complex_):
     with that face; the surviving cells keep their original boundaries,
     restricted to live faces with sign (-1)^k for face k, and each degree's
     boundary matrix goes to Smith normal form.  Coreductions start from the
-    empty simplex, so of a complex with several connected components only
-    one is swept; the others reach Smith normal form whole.
+    empty simplex and restart from one vertex of every further connected
+    component, which counts towards betti(0).
 
     Raises RuntimeError if the Euler characteristics of the input and of
     the computed profile disagree (an internal consistency cross-check).
@@ -267,18 +267,33 @@ def homology(complex_):
     live = bytearray([1]) * n_cells
     nface = [len(fs) for fs in faces]
     work = [g for g in range(n_cells) if nface[g] == 1]
-    while work:
-        b = work.pop()
-        if not live[b] or nface[b] != 1:
-            continue
-        a = next(f for f in faces[b] if live[f])
-        live[a] = live[b] = 0
-        for g in (a, b):
+
+    def retire(*gs):
+        for g in gs:
+            live[g] = 0
+        for g in gs:
             for e in cofaces[g]:
                 if live[e]:
                     nface[e] -= 1
                     if nface[e] == 1:
                         work.append(e)
+
+    # when the work list runs dry every live edge has 0 or 2 live faces, so
+    # a live vertex with no live face spans a free summand of H_0: set it
+    # aside as a generator and coreduce again from its cofaces
+    generators = 0
+    n_vertices = len(simplices[0]) if simplices else 0  # cells 1..n_vertices
+    isolated = (g for g in range(1, 1 + n_vertices) if live[g] and not nface[g])
+    while True:
+        while work:
+            b = work.pop()
+            if live[b] and nface[b] == 1:
+                retire(next(f for f in faces[b] if live[f]), b)
+        v = next(isolated, None)
+        if v is None:
+            break
+        generators += 1
+        retire(v)
 
     # dense Smith normal form, degree by degree, on the surviving cells
     by_dim = {}
@@ -306,6 +321,7 @@ def homology(complex_):
     betti = {}
     for d, cells_d in by_dim.items():
         betti[d] = len(cells_d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    betti[0] = betti.get(0, 0) + generators
 
     euler_complex = -1 + sum(
         (-1) ** d * len(level) for d, level in enumerate(simplices)

@@ -41,6 +41,31 @@ def random_matrix(rng, rows, cols, singular=False):
     return [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
 
 
+def fraction_rank(rows):
+    """Rank over the rationals by Gauss-Jordan elimination: the oracle
+    for the library's invertibility test, which uses Bareiss determinants."""
+    if not rows:
+        return 0
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
 def rank_functor(poset, rng, dims=None):
     """Space dimension depends only on the rank; one matrix per rank step."""
     n = poset.n

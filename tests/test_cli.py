@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -11,15 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochastihedron import cli, constant_sheaf
+from stochastihedron import cli, constant_sheaf, sheaf
 
 
 CLI = [sys.executable, "-m", "stochastihedron.cli"]
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("CONTINGENCY_MAX_N", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     # the timeout turns a runaway input check into a failure, not a hang
@@ -74,6 +79,15 @@ def test_stable_output_is_byte_identical():
     second = run_cli("--stable", "sphericity", "--n", "2")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_report_bytes_match_json_dumps():
+    # the report is written in batches of encoder chunks; this one spans many
+    proc = run_cli("--stable", "enumerate", "--n", "5")
+    assert proc.returncode == 0
+    assert proc.stdout == json.dumps(
+        json.loads(proc.stdout), indent=2, sort_keys=True
+    ) + "\n"
 
 
 def test_unstable_output_has_timing():
@@ -243,6 +257,17 @@ def test_sheaf_commands(tmp_path):
         )
         assert code == 0
         assert report["details"]["constructible"] is True
+
+
+def test_constant_sheaf_reports_its_validation(monkeypatch, capsys):
+    def failing_validate(rep):
+        failure = {"bottom": 3, "top": 0, "via": [1, 2]}
+        return {"n": rep.poset.n, "diamonds_failing": [failure], "valid": False,
+                "pass": False}
+
+    monkeypatch.setattr(sheaf, "validate", failing_validate)
+    assert cli.main(["--stable", "constant-sheaf", "--n", "2", "--dim", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_failing_sheaf_check_exits_nonzero(tmp_path):

@@ -270,6 +270,20 @@ def test_covers_are_the_single_contractions():
         }
 
 
+def test_anodyne_covers_keep_the_nonzero_entries():
+    # anodyne read off the entries: the contraction keeps the multiset of
+    # nonzero entries, i.e. no two nonzero entries are added
+    for n in range(1, 6):
+        poset = build_poset(n)
+        nonzero = [sorted(filter(None, sum(m.rows, ()))) for m in poset.elements]
+        for kinds in ((HORIZONTAL,), (VERTICAL,), (HORIZONTAL, VERTICAL)):
+            assert poset.anodyne_covers(kinds) == [
+                (child, parent, kind, pos)
+                for child, parent, kind, pos in poset.covers
+                if kind in kinds and nonzero[child] == nonzero[parent]
+            ]
+
+
 def test_poset_n1_and_n2():
     poset = build_poset(1)
     assert len(poset) == 1 and not poset.covers

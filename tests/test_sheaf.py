@@ -3,13 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import representation_suite, size_functor
+from helpers import (
+    fraction_rank,
+    random_matrix,
+    representation_suite,
+    size_functor,
+)
 
 import random
 
 from stochastihedron.contingency import ContingencyMatrix, build_poset
 from stochastihedron.errors import DomainError, StructuralError
 from stochastihedron.sheaf import (
+    STRATIFICATIONS,
     PosetRepresentation,
     constant_sheaf,
     is_constructible,
@@ -196,6 +202,32 @@ def test_random_suite_equivalence():
         assert is_constructible(rep, "cont") == (True, None)
         outcomes.add((fnf_ok, ifnf_ok))
     assert len(outcomes) >= 3  # the suite genuinely varies
+
+
+def test_invertibility_matches_fraction_rank():
+    # rank functors with every space of dimension D: each anodyne cover
+    # carries a random square map, singular about half the time
+    rng = random.Random(20261018)
+    posets = [build_poset(2), build_poset(3)]
+    verdicts = set()
+    for trial in range(60):
+        size = trial % 9
+        poset = posets[trial % 2]
+        steps = [random_matrix(rng, size, size, singular=rng.random() < 0.5)
+                 for _ in range(2 * poset.n - 2)]
+        maps = {(c, p): steps[poset.rank(c)] for c, p, _, _ in poset.covers}
+        rep = PosetRepresentation(poset, [size] * len(poset), maps)
+        assert validate(rep)["valid"]
+        for strat, kinds in STRATIFICATIONS.items():
+            expected = (True, None)
+            for child, parent, kind, pos in poset.anodyne_covers(kinds):
+                if fraction_rank(rep.map_for(child, parent)) != size:
+                    expected = (False, {"from": child, "to": parent, "kind": kind,
+                                        "pos": pos, "dims": [size, size]})
+                    break
+            assert is_constructible(rep, strat) == expected
+            verdicts.add(expected[0])
+    assert verdicts == {True, False}
 
 
 def test_shape_mismatch_is_structural():

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from stochastihedron import topology
 from stochastihedron.contingency import ContingencyMatrix, build_poset, count_cm
 from stochastihedron.errors import CapacityError, DomainError
 from stochastihedron.exactlinalg import determinant, smith_normal_form
@@ -192,9 +193,27 @@ def test_pipeline_matches_naive_homology_on_known_spaces():
         (torus, 7),
         (list(itertools.combinations(range(5), 4)), 5),  # the 3-sphere
         ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], 6),   # circle + segment
+        (rp2 + [(6, 7), (7, 8), (6, 8)], 10),           # RP^2 + circle + point
+        (rp2 + [tuple(v + 6 for v in t) for t in rp2]    # two RP^2 + S^2
+         + list(itertools.combinations(range(12, 16), 3)), 16),
     ):
         K = SimplicialComplex.from_simplices(nv, maximal)
         assert homology(K) == naive_homology(K)
+
+
+def test_disjoint_copies_are_swept_without_snf(monkeypatch):
+    # coreductions restart in the second copy, so nothing is left for SNF
+    def no_snf(rows):
+        raise AssertionError(f"SNF called on {len(rows)} rows")
+
+    monkeypatch.setattr(topology, "smith_normal_form", no_snf)
+    poset = build_poset(3)
+    K = order_complex(lower_interval(poset, poset.maximum(), strict=True))
+    nv = len(K.vertices)
+    levels = [level + tuple(tuple(v + nv for v in s) for s in level)
+              for level in K.simplices]
+    two = SimplicialComplex(range(2 * nv), levels)
+    assert homology(two) == profile({0: 1, 3: 2})
 
 
 # ---------------------------------------------------------------------------
