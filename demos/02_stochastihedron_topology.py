@@ -39,8 +39,9 @@ prof = homology(order_complex(strict))
 print(f"  {len(strict)} elements below; homology {prof.to_json()}")
 print(f"  equals the 2-sphere: {prof == HomologyProfile.sphere(2)}")
 
-print("\nFull sphericity sweep for n = 1..3 (n = 4 runs in the test suite):")
-for n in (1, 2, 3):
+print("\nFull sphericity sweep by cellular chains for n = 1..4")
+print("(`stochastihedron sphericity --n 6` takes under a minute):")
+for n in (1, 2, 3, 4):
     rep = verify_sphericity(n)
     print(
         f"  n={n}: {rep['cells_checked']} cells checked, "

@@ -83,11 +83,26 @@ def _cmd_poset(args):
     return True, {"claim": "contraction-poset", **contingency.poset_to_json(poset)}
 
 
+def _sphericity_progress():
+    """A progress(done, total) callback that writes one line to stderr at
+    most once a second, the first one a second after it is made."""
+    last = time.monotonic()
+
+    def progress(done, total):
+        nonlocal last
+        now = time.monotonic()
+        if now - last >= 1.0:
+            last = now
+            print(f"sphericity: {done}/{total} cells", file=sys.stderr, flush=True)
+
+    return progress
+
+
 def _cmd_sphericity(args):
     # --jobs is accepted for compatibility and ignored: the check is serial
     if args.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {args.jobs}")
-    report = topology.verify_sphericity(args.n)
+    report = topology.verify_sphericity(args.n, _sphericity_progress())
     details = {
         "claim": "lower-intervals-are-spheres",
         "n": report["n"],
@@ -205,14 +220,7 @@ def _cmd_meet_join(args):
     }
     passed = meet["pass"]
     try:
-        joins = {
-            kind: strata.anodyne_classes(args.n, kinds)
-            for kind, kinds in (
-                ("both", (contingency.HORIZONTAL, contingency.VERTICAL)),
-                ("horizontal", (contingency.HORIZONTAL,)),
-                ("vertical", (contingency.VERTICAL,)),
-            )
-        }
+        joins = strata.anodyne_joins(args.n)
         details["join"] = {
             kind: {
                 "class_count": rep["class_count"],

@@ -14,7 +14,7 @@ ENV_VAR = "CONTINGENCY_MAX_N"
 
 ENUMERATION_CAP = 7       # full census of CM_n
 POSET_CAP = 7             # covers of the contraction order
-SPHERICITY_CAP = 4        # homology of every lower interval
+SPHERICITY_CAP = 6        # homology of every lower interval
 ANODYNE_CAP = 5           # union-find over anodyne contractions
 MEET_CAP = 6              # grouping CM_n by label pairs
 DOUBLE_COSET_CAP = 6      # orbit enumeration inside S_n

@@ -14,6 +14,7 @@ the contingency stratification itself.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .contingency import HORIZONTAL, VERTICAL, CmPoset, build_poset
 from .errors import DomainError, StructuralError
@@ -230,7 +231,16 @@ def validate(rep):
 def _is_isomorphism(matrix, dim_to, dim_from):
     if dim_to != dim_from:
         return False
-    return dim_to == 0 or determinant(matrix) != 0
+    if dim_to == 0:
+        return True
+    # scaling a row by a nonzero integer keeps the determinant (non)zero;
+    # the lcm of its denominators makes the row integral, and integer
+    # Bareiss is far cheaper than Bareiss on Fractions
+    integral = []
+    for row in matrix:
+        scale = lcm(*(x.denominator for x in row))
+        integral.append([x.numerator * (scale // x.denominator) for x in row])
+    return determinant(integral) != 0
 
 
 def is_constructible(rep, strat):

@@ -322,13 +322,14 @@ _FIBER_LABELS = {
 }
 
 
-def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL)):
+def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
     """Equivalence classes of CM_n under anodyne contractions of the given
     kinds, with the fiber comparison this class structure must reproduce:
     both kinds -> multiplicity partitions, horizontal only -> FNF labels,
     vertical only -> dual FNF labels.
 
-    Classes are reported as tuples of canonical element indices.
+    ``poset`` is ``build_poset(n)``, built here when not given.  Classes
+    are reported as tuples of canonical element indices.
     """
     guard(n, ANODYNE_CAP, "anodyne equivalence classes")
     kinds = tuple(sorted(set(kinds)))
@@ -337,7 +338,10 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL)):
             f"kinds must be horizontal, vertical, or both; got {kinds}"
         )
     fiber_name, fiber_map = _FIBER_LABELS[kinds]
-    poset = build_poset(n)
+    if poset is None:
+        poset = build_poset(n)
+    elif poset.n != n:
+        raise DomainError(f"the poset is CM_{poset.n}, not CM_{n}")
     elements = poset.elements
     uf = _UnionFind(len(elements))
     for child, parent, _, _ in poset.anodyne_covers(kinds):
@@ -361,6 +365,21 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL)):
         "fiber_count": len(fiber_list),
         "classes_match_fibers": matches,
         "pass": matches,
+    }
+
+
+def anodyne_joins(n):
+    """``anodyne_classes`` for both kinds, horizontal only and vertical
+    only, keyed by those names, on one build of CM_n."""
+    guard(n, ANODYNE_CAP, "anodyne equivalence classes")
+    poset = build_poset(n)
+    return {
+        name: anodyne_classes(n, kinds, poset)
+        for name, kinds in (
+            ("both", (HORIZONTAL, VERTICAL)),
+            ("horizontal", (HORIZONTAL,)),
+            ("vertical", (VERTICAL,)),
+        )
     }
 
 

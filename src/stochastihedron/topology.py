@@ -1,26 +1,44 @@
-"""Order complexes of finite posets and their reduced integral homology.
+"""Reduced integral homology of order complexes and of the cellular
+chains of the contraction poset.
 
-The homology pipeline is built for the lower intervals of the contraction
-poset, whose order complexes are barycentric subdivisions of cells and
-spheres: a chain of weight n can involve up to 2n-1 matrices, and the
-strict interval below the 1x1 matrix already has 159,056 simplices at
-n = 4.  Plain Smith normal form on boundary matrices of that size is
-hopeless, so ``homology`` first shrinks the complex by coreductions
-(Mrozek and Batko, "Coreduction homology algorithm", Discrete Comput.
-Geom. 41, 2009): a cell b with exactly one remaining face a is retired
-together with a.  The pair is homology-neutral, and the boundary of every
-other cell is just its original face list restricted to the surviving
-cells, so this phase does no matrix arithmetic at all.  On the lower
-intervals of CM_n up to n = 4 coreductions leave one cell of each sphere
-and nothing of the cone over the whole poset; whatever is left is
-finished off by dense Smith normal form over the integers, one degree at
-a time.
+One core, ``chain_homology``, takes a chain complex given as cells with
+degrees and signed face lists.  Two producers feed it:
 
-Reduced homology conventions: the empty simplex is a genuine cell in
-degree -1, the empty complex is the (-1)-sphere with betti(-1) = 1, and a
-cone (any poset with a maximum or minimum) is acyclic.
+* ``homology`` takes a simplicial complex, such as the order complex of a
+  finite poset, with sign (-1)^k on face k.
+* ``check_sphericity`` takes CM_n itself: one cell per element, in the
+  degree of its rank 2n-(p+q), with its covers as faces.  CM_n is the face
+  poset of a regular CW ball, so the strict lower interval P<M should be a
+  sphere of dimension rank(M)-1.  The +-1 incidences are fixed once per
+  poset, in rank order, by propagation across diamonds: the two paths
+  through every rank-2 interval must cancel.  By Bjorner ("Posets, regular
+  CW complexes and Bruhat order", Europ. J. Combin. 5, 1984), once every
+  P<y with y < M is a homology sphere of dimension rank(y)-1, P<M has the
+  homology of its cellular chain complex.  That route is valid only in
+  rank order, so a cell with a failed cell below it fails, as does a cell
+  whose boundary cannot be signed or whose signs do not cancel.
+
+The cellular route is what makes sphericity reach n = 6: the order complex
+is a barycentric subdivision, with 159,056 simplices in the strict interval
+below the 1x1 matrix at n = 4 and 92.5M at n = 5, while the cellular
+complex of the same interval has one cell per element.
+
+The core first shrinks the complex by coreductions (Mrozek and Batko,
+"Coreduction homology algorithm", Discrete Comput. Geom. 41, 2009): a
+cell b with exactly one remaining face a is retired together with a.  The
+incidence is +-1, so the pair is homology-neutral, and the boundary of
+every other cell is just its original face list restricted to the
+surviving cells, so this phase does no matrix arithmetic at all.  On the
+lower intervals of CM_n up to n = 6 coreductions leave one cell of each
+sphere; whatever is left is finished off by dense Smith normal form over
+the integers, one degree at a time.
+
+Reduced homology conventions: the empty cell is a genuine cell in degree
+-1, the empty complex is the (-1)-sphere with betti(-1) = 1, and a cone
+(any poset with a maximum or minimum) is acyclic.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import contingency
@@ -222,51 +240,57 @@ def order_complex(poset):
 # homology
 
 def homology(complex_):
-    """Reduced integral homology by coreductions, then exact dense SNF.
+    """Reduced integral homology of a simplicial complex.
+
+    The chain complex has one cell per simplex plus the empty simplex in
+    degree -1, and face k of a simplex carries the sign (-1)^k; the work is
+    done by ``chain_homology``.
+    """
+    dims = [-1]
+    faces = [()]
+    signs = [()]
+    index = {(): 0}
+    for d, level in enumerate(complex_.simplices):
+        alternating = tuple(1 if k % 2 == 0 else -1 for k in range(d + 1))
+        for s in level:
+            faces.append(tuple(index[s[:k] + s[k + 1 :]] for k in range(d + 1)))
+            signs.append(alternating)
+            index[s] = len(dims)
+            dims.append(d)
+    return chain_homology(dims, faces, signs)
+
+
+def chain_homology(dims, faces, signs):
+    """Reduced integral homology of a finite chain complex by coreductions,
+    then exact dense SNF.
+
+    Cell c has degree dims[c]; its boundary is sum(signs[c][k] * faces[c][k])
+    over distinct faces in degree dims[c] - 1, every coefficient +1 or -1.
+    Cell 0 is the empty cell in degree -1 and the one face of every vertex.
 
     Coreductions retire each cell that has exactly one live face together
     with that face; the surviving cells keep their original boundaries,
-    restricted to live faces with sign (-1)^k for face k, and each degree's
-    boundary matrix goes to Smith normal form.  Coreductions start from the
-    empty simplex and restart from one vertex of every further connected
-    component, which counts towards betti(0).
+    restricted to live faces, and each degree's boundary matrix goes to
+    Smith normal form.  Coreductions start from the empty cell and restart
+    from one vertex of every further connected component, which counts
+    towards betti(0).
 
     Raises RuntimeError if the Euler characteristics of the input and of
     the computed profile disagree (an internal consistency cross-check).
     """
-    simplices = complex_.simplices
-
-    # global cell ids; id 0 is the empty simplex in degree -1
-    dim_of = [-1]
-    cells = [()]
-    index_by_dim = []
-    for d, level in enumerate(simplices):
-        idx = {}
-        for s in level:
-            idx[s] = len(cells)
-            dim_of.append(d)
-            cells.append(s)
-        index_by_dim.append(idx)
-
-    n_cells = len(cells)
-    faces = [()] * n_cells
+    n_cells = len(dims)
     cofaces = [[] for _ in range(n_cells)]
-    for g in range(1, n_cells):
-        s = cells[g]
-        d = dim_of[g]
-        if d == 0:
-            fs = (0,)
-        else:
-            lookup = index_by_dim[d - 1]
-            fs = tuple(lookup[s[:k] + s[k + 1 :]] for k in range(d + 1))
-        faces[g] = fs
+    for g, fs in enumerate(faces):
         for f in fs:
             cofaces[f].append(g)
 
-    # coreductions: a cell with exactly one live face goes with that face
+    # coreductions: a cell with exactly one live face goes with that face;
+    # first in, first out, so they spread from the empty cell breadth-first
+    # (last in, first out left thousands of cells for SNF in some n = 6
+    # intervals)
     live = bytearray([1]) * n_cells
     nface = [len(fs) for fs in faces]
-    work = [g for g in range(n_cells) if nface[g] == 1]
+    work = deque(g for g in range(n_cells) if nface[g] == 1)
 
     def retire(*gs):
         for g in gs:
@@ -282,11 +306,10 @@ def homology(complex_):
     # a live vertex with no live face spans a free summand of H_0: set it
     # aside as a generator and coreduce again from its cofaces
     generators = 0
-    n_vertices = len(simplices[0]) if simplices else 0  # cells 1..n_vertices
-    isolated = (g for g in range(1, 1 + n_vertices) if live[g] and not nface[g])
+    isolated = (g for g in range(n_cells) if dims[g] == 0 and live[g] and not nface[g])
     while True:
         while work:
-            b = work.pop()
+            b = work.popleft()
             if live[b] and nface[b] == 1:
                 retire(next(f for f in faces[b] if live[f]), b)
         v = next(isolated, None)
@@ -299,7 +322,7 @@ def homology(complex_):
     by_dim = {}
     for g in range(n_cells):
         if live[g]:
-            by_dim.setdefault(dim_of[g], []).append(g)
+            by_dim.setdefault(dims[g], []).append(g)
     ranks = {}
     torsion_by_degree = {}
     for d, cells_d in sorted(by_dim.items()):
@@ -309,9 +332,9 @@ def homology(complex_):
         row_pos = {f: i for i, f in enumerate(below)}
         matrix = [[0] * len(cells_d) for _ in below]
         for j, g in enumerate(cells_d):
-            for k, f in enumerate(faces[g]):
+            for f, s in zip(faces[g], signs[g]):
                 if live[f]:
-                    matrix[row_pos[f]][j] = 1 if k % 2 == 0 else -1
+                    matrix[row_pos[f]][j] = s
         factors = smith_normal_form(matrix)
         ranks[d] = len(factors)
         big = [f for f in factors if f > 1]
@@ -323,9 +346,7 @@ def homology(complex_):
         betti[d] = len(cells_d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
     betti[0] = betti.get(0, 0) + generators
 
-    euler_complex = -1 + sum(
-        (-1) ** d * len(level) for d, level in enumerate(simplices)
-    )
+    euler_complex = sum(-1 if d % 2 else 1 for d in dims)
     euler_homology = sum((-1) ** d * b for d, b in betti.items())
     if euler_complex != euler_homology:
         raise RuntimeError(
@@ -362,21 +383,47 @@ def lower_interval(poset, matrix, strict=True):
     return FinitePoset(tuple(members), above)
 
 
-def verify_sphericity(n):
+def verify_sphericity(n, progress=None):
     """Check, for every M in CM_n, that the strict lower interval P<M has
     the reduced homology of a sphere of dimension 2n-(p+q)-1.
 
-    The closed interval P<=M is the cone over P<M with apex M, so it is
-    acyclic for any poset; instead of computing its homology, each cell
-    checks by the block-sum rule that M lies above every member of P<M,
-    which also cross-checks the cover walk in ``lower_interval``.
+    ``progress``, if given, is called as progress(done, total) after each
+    cell.  See ``check_sphericity``.
     """
     guard(n, SPHERICITY_CAP, "sphericity verification")
-    poset = contingency.build_poset(n)
-    results = [_check_cell(poset, i) for i in range(len(poset))]
+    return check_sphericity(contingency.build_poset(n), progress)
+
+
+def check_sphericity(poset, progress=None):
+    """Sphericity of every strict lower interval of a built CmPoset, by
+    cellular chains.
+
+    Cells are visited in rank order.  Each cell's boundary is signed by
+    ``_incidence_signs``; the homology of P<M is that of the cellular chain
+    complex on its elements only when every cell below M has passed, so a
+    cell with a failed cell below it fails without a homology run.  A cell
+    also fails when its boundary cannot be signed or its signs do not cancel
+    on every diamond below it.
+
+    The closed interval P<=M is the cone over P<M with apex M, so it is
+    acyclic for any poset; instead of computing its homology, each cell
+    checks that M lies above every member of P<M: every cover on the walk
+    down from M holds by the block-sum rule (``CmPoset.leq``), and the order
+    is transitive.  This also cross-checks the covers the walk follows.
+    """
+    down = [tuple(child for child, _, _ in covers) for covers in poset.down]
+    rank = [poset.rank(i) for i in range(len(poset))]
+    order = sorted(range(len(poset)), key=rank.__getitem__)
+    signs, faults = _incidence_signs(poset, down, order)
+    cover_ok = [all(poset.leq(x, y) for x in down[y]) for y in range(len(poset))]
+    results = [None] * len(poset)
+    for done, i in enumerate(order, 1):
+        results[i] = _check_cell(poset, down, rank, signs, faults, cover_ok, results, i)
+        if progress is not None:
+            progress(done, len(order))
     violations = [r for r in results if not r["pass"]]
     return {
-        "n": n,
+        "n": poset.n,
         "cells_checked": len(results),
         "cells": results,
         "violations": violations,
@@ -384,19 +431,122 @@ def verify_sphericity(n):
     }
 
 
-def _check_cell(poset, i):
-    d_exp = poset.rank(i) - 1
-    strict = lower_interval(poset, i, strict=True)
-    strict_profile = homology(order_complex(strict))
-    sphere_ok = strict_profile == HomologyProfile.sphere(d_exp)
-    acyclic_ok = all(poset.leq(g, i) for g in strict.labels)
-    return {
+def _incidence_signs(poset, down, order):
+    """A sign +1 or -1 on every cover, fixed one cell at a time in rank order.
+
+    Facets x and x' of y that share a subfacet w (the empty cell, for the
+    two vertices of an edge) must give w opposite coefficients in the
+    boundary of the boundary of y.  Fixing y's first facet to +1 and
+    following these links signs every facet of a connected facet graph.
+    Returns (signs, faults): signs[y] is aligned with down[y], or None when
+    y or one of its facets could not be signed; faults[y] says why y could
+    not.  Links outside the spanning tree are not checked here:
+    ``_signs_cancel`` checks every diamond.
+    """
+    signs = [None] * len(down)
+    faults = {}
+    for y in order:
+        facets = down[y]
+        if not facets:
+            signs[y] = ()
+            continue
+        if any(signs[x] is None for x in facets):
+            continue
+        through = {}
+        for k, x in enumerate(facets):
+            for w, s in _boundary(down, signs, x):
+                through.setdefault(w, []).append((k, s))
+        links = [[] for _ in facets]
+        for w, hits in through.items():
+            if len(hits) != 2:
+                below = "the empty cell" if w < 0 else poset.elements[w].rows
+                faults[y] = (
+                    f"the interval from {below} up to this cell has "
+                    f"{len(hits)} middle elements, not 2"
+                )
+                break
+            (a, sa), (b, sb) = hits
+            links[a].append((b, -sa * sb))
+            links[b].append((a, -sa * sb))
+        else:
+            sign = [0] * len(facets)
+            sign[0] = 1
+            stack = [0]
+            while stack:
+                a = stack.pop()
+                for b, factor in links[a]:
+                    if not sign[b]:
+                        sign[b] = sign[a] * factor
+                        stack.append(b)
+            if all(sign):
+                signs[y] = tuple(sign)
+            else:
+                faults[y] = "the facets are not linked through shared subfacets"
+    return signs, faults
+
+
+def _boundary(down, signs, x):
+    """(face, sign) pairs of cell x; a vertex has the empty cell (-1)."""
+    return zip(down[x], signs[x]) if down[x] else ((-1, 1),)
+
+
+def _signs_cancel(down, signs, y):
+    """Whether the boundary of the boundary of y is zero."""
+    total = {}
+    for x, s in zip(down[y], signs[y]):
+        for w, t in _boundary(down, signs, x):
+            total[w] = total.get(w, 0) + s * t
+    return not any(total.values())
+
+
+def _cellular_chains(down, rank, signs, members):
+    """The cellular chain complex of the cells in ``members`` (closed under
+    going down) plus the empty cell 0, in ``chain_homology``'s form."""
+    local = {g: k for k, g in enumerate(members, 1)}
+    dims = [-1]
+    faces = [()]
+    cell_signs = [()]
+    for g in members:
+        dims.append(rank[g])
+        if down[g]:
+            faces.append(tuple(local[x] for x in down[g]))
+            cell_signs.append(signs[g])
+        else:
+            faces.append((0,))
+            cell_signs.append((1,))
+    return dims, faces, cell_signs
+
+
+def _check_cell(poset, down, rank, signs, faults, cover_ok, results, i):
+    """The report of cell i; ``results`` holds the reports of its facets."""
+    d_exp = rank[i] - 1
+    members = set()
+    stack = [i]
+    while stack:
+        for x in down[stack.pop()]:
+            if x not in members:
+                members.add(x)
+                stack.append(x)
+    acyclic_ok = cover_ok[i] and all(cover_ok[g] for g in members)
+    cell = {
         "element": poset.elements[i].to_json(),
         "expected_sphere_dim": d_exp,
-        "homology": strict_profile.to_json(),
+        "homology": None,
         "closed_acyclic": acyclic_ok,
-        "pass": sphere_ok and acyclic_ok,
     }
+    if not all(results[x]["pass"] for x in down[i]):
+        cell["reason"] = "a cell below failed, so its cellular chains do not apply"
+    else:
+        profile = chain_homology(*_cellular_chains(down, rank, signs, members))
+        cell["homology"] = profile.to_json()
+        if i in faults:
+            cell["reason"] = faults[i]
+        elif not _signs_cancel(down, signs, i):
+            cell["reason"] = "the incidence signs do not cancel on every diamond"
+        elif profile != HomologyProfile.sphere(d_exp):
+            cell["reason"] = "not a homology sphere of the expected dimension"
+    cell["pass"] = acyclic_ok and "reason" not in cell
+    return cell
 
 
 def f_vector(n):

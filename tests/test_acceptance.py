@@ -93,10 +93,11 @@ def test_criterion_04_sphericity():
     ok = True
     details = []
     started = time.monotonic()
-    for n in (1, 2, 3, 4):
+    for n, cells in ((1, 1), (2, 5), (3, 33), (4, 281), (5, 2961)):
         rep = verify_sphericity(n)
         details.append(f"n={n}:{rep['cells_checked']}")
         ok = ok and rep["pass"] and not rep["violations"]
+        ok = ok and rep["cells_checked"] == cells
     elapsed = time.monotonic() - started
     report(
         4,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochastihedron import cli, constant_sheaf, sheaf
+from stochastihedron import cli, constant_sheaf, sheaf, strata
 
 
 CLI = [sys.executable, "-m", "stochastihedron.cli"]
@@ -173,6 +173,52 @@ def test_sphericity_command():
     assert report["details"]["cells_checked"] == 5
     assert report["details"]["violations"] == []
     assert len(report["details"]["cells"]) == 5
+
+
+def test_sphericity_cap_is_six():
+    proc = run_cli("--stable", "sphericity", "--n", "5")
+    assert proc.returncode == 0, proc.stderr
+    details = json.loads(proc.stdout)["details"]
+    assert details["cells_checked"] == 2961
+    assert details["violations"] == []
+    proc = run_cli("--stable", "sphericity", "--n", "7")
+    assert proc.returncode == 3
+    assert "capped at 6" in proc.stderr
+
+
+def test_sphericity_progress_at_most_once_a_second(monkeypatch, capsys):
+    clock = iter([10.0, 10.5, 11.25, 12.0, 12.5, 12.75, 14.0])
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    progress = cli._sphericity_progress()
+    for done in range(1, 7):
+        progress(done, 6)
+    assert capsys.readouterr().err.splitlines() == [
+        "sphericity: 2/6 cells",
+        "sphericity: 4/6 cells",
+        "sphericity: 6/6 cells",
+    ]
+
+
+def test_short_sphericity_run_prints_no_progress():
+    proc = run_cli("--stable", "sphericity", "--n", "4")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_meet_join_builds_the_poset_once(monkeypatch, capsys):
+    builds = []
+    build = strata.build_poset
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    monkeypatch.setattr(strata, "build_poset", counted)
+    assert cli.main(["--stable", "meet-join", "--n", "4"]) == 0
+    assert builds == [4]
+    join = json.loads(capsys.readouterr().out)["details"]["join"]
+    assert list(join) == ["both", "horizontal", "vertical"]
+    assert all(rep["classes_match_fibers"] for rep in join.values())
 
 
 def test_classify_command(tmp_path):

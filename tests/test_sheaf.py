@@ -12,6 +12,7 @@ from helpers import (
 
 import random
 
+from stochastihedron import sheaf
 from stochastihedron.contingency import ContingencyMatrix, build_poset
 from stochastihedron.errors import DomainError, StructuralError
 from stochastihedron.sheaf import (
@@ -228,6 +229,29 @@ def test_invertibility_matches_fraction_rank():
             assert is_constructible(rep, strat) == expected
             verdicts.add(expected[0])
     assert verdicts == {True, False}
+
+
+def test_isomorphism_verdicts_match_fraction_rank():
+    # square maps with proper fractions, about half of them singular (the
+    # last row a rational combination of two others), plus non-square shapes
+    rng = random.Random(20261019)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    verdicts = set()
+    for trial in range(200):
+        size = 1 + trial % 8
+        m = [[entry() for _ in range(size)] for _ in range(size)]
+        if size > 1 and (trial // 8) % 2:
+            c, d = entry(), entry()
+            m[-1] = [c * x + d * y for x, y in zip(m[0], m[-2])]
+        expected = fraction_rank(m) == size
+        assert sheaf._is_isomorphism(m, size, size) is expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    assert sheaf._is_isomorphism([[Fraction(1, 2), Fraction(1, 3)]], 1, 2) is False
+    assert sheaf._is_isomorphism([], 0, 0) is True
 
 
 def test_shape_mismatch_is_structural():

@@ -21,6 +21,7 @@ from stochastihedron.strata import (
     MultiplicityPartition,
     PointConfiguration,
     anodyne_classes,
+    anodyne_joins,
     cell_dimensions,
     classify,
     compress,
@@ -270,14 +271,28 @@ def test_anodyne_classes_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_anodyne_classes_match_fibers(n):
-    assert anodyne_classes(n)["pass"]
-    assert anodyne_classes(n, (HORIZONTAL,))["pass"]
-    assert anodyne_classes(n, (VERTICAL,))["pass"]
+    # anodyne_joins shares one poset between the three kind sets
+    joins = anodyne_joins(n)
+    assert list(joins) == ["both", "horizontal", "vertical"]
+    for name, kinds in (
+        ("both", (HORIZONTAL, VERTICAL)),
+        ("horizontal", (HORIZONTAL,)),
+        ("vertical", (VERTICAL,)),
+    ):
+        assert joins[name] == anodyne_classes(n, kinds)
+        assert joins[name]["pass"]
 
 
 def test_anodyne_capacity():
     with pytest.raises(CapacityError):
         anodyne_classes(6)
+    with pytest.raises(CapacityError):
+        anodyne_joins(6)
+
+
+def test_anodyne_classes_rejects_another_poset():
+    with pytest.raises(DomainError):
+        anodyne_classes(3, poset=build_poset(2))
 
 
 def test_meet_check_small():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from stochastihedron.topology import (
     FinitePoset,
     HomologyProfile,
     SimplicialComplex,
+    check_sphericity,
     f_vector,
     homology,
     lower_interval,
@@ -300,6 +302,119 @@ def test_sphericity_closed_intervals_are_cones():
 def test_sphericity_capacity():
     with pytest.raises(CapacityError):
         verify_sphericity(9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cellular_profiles_match_order_complexes(n):
+    # the oracle: every cell's cellular profile equals the homology of the
+    # order complex of its strict lower interval
+    poset = build_poset(n)
+    report = check_sphericity(poset)
+    assert report["pass"]
+    for i, cell in enumerate(report["cells"]):
+        strict = lower_interval(poset, i, strict=True)
+        assert cell["homology"] == homology(order_complex(strict)).to_json()
+
+
+def test_progress_counts_every_cell():
+    calls = []
+    report = verify_sphericity(3, lambda done, total: calls.append((done, total)))
+    assert calls == [(k, 33) for k in range(1, 34)]
+    assert report["pass"]
+
+
+def _element(poset, rows):
+    return poset.element_index(ContingencyMatrix(rows))
+
+
+def _above(poset, y):
+    return {m for m in range(len(poset)) if m != y and poset.leq(y, m)}
+
+
+def _set_down(poset, y, covers):
+    poset.down = poset.down[:y] + (tuple(covers),) + poset.down[y + 1 :]
+
+
+def _violations(report):
+    return {tuple(map(tuple, v["element"]["rows"])): v for v in report["violations"]}
+
+
+def _assert_only_failures(poset, report, y, reason):
+    """y fails for ``reason``; every cell above y fails because y did."""
+    bad = _violations(report)
+    assert not report["pass"]
+    assert set(bad) == {poset.elements[m].rows for m in _above(poset, y) | {y}}
+    assert re.fullmatch(reason, bad[poset.elements[y].rows]["reason"])
+    for m in _above(poset, y):
+        row = bad[poset.elements[m].rows]
+        assert row["reason"] == "a cell below failed, so its cellular chains do not apply"
+        assert row["homology"] is None
+
+
+def test_flipped_sign_is_a_violation(monkeypatch):
+    poset = build_poset(3)
+    y = _element(poset, [[2, 0], [0, 1]])
+    signs_of = topology._incidence_signs
+
+    def flip_one(poset, down, order):
+        signs, faults = signs_of(poset, down, order)
+        signs[y] = (-signs[y][0],) + signs[y][1:]
+        return signs, faults
+
+    monkeypatch.setattr(topology, "_incidence_signs", flip_one)
+    report = check_sphericity(poset)
+    _assert_only_failures(
+        poset, report, y, "the incidence signs do not cancel on every diamond"
+    )
+    # the cell's own interval is still a circle: only its signs are wrong
+    assert _violations(report)[((2, 0), (0, 1))]["homology"] == [
+        {"degree": 1, "betti": 1, "torsion": []}
+    ]
+
+
+@pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 0], [1, 0], [0, 1]]])
+def test_dropped_cover_is_a_violation(rows):
+    # a rank-2 cell and a rank-1 cell (whose one vertex is left alone)
+    poset = build_poset(3)
+    y = _element(poset, rows)
+    _set_down(poset, y, poset.down[y][1:])
+    report = check_sphericity(poset)
+    _assert_only_failures(
+        poset, report, y,
+        r"the interval from .* up to this cell has 1 middle elements, not 2",
+    )
+
+
+def test_third_middle_element_is_a_violation():
+    poset = build_poset(3)
+    y = _element(poset, [[2, 0], [0, 1]])
+    vertices = {w for x, _, _ in poset.down[y] for w, _, _ in poset.down[x]}
+    extra = next(
+        x for x in range(len(poset))
+        if poset.rank(x) == 1 and not poset.leq(x, y)
+        and vertices & {w for w, _, _ in poset.down[x]}
+    )
+    _set_down(poset, y, poset.down[y] + ((extra, "horizontal", 0),))
+    report = check_sphericity(poset)
+    _assert_only_failures(
+        poset, report, y,
+        r"the interval from .* up to this cell has [13] middle elements, not 2",
+    )
+    # the walk from y now reaches a cell that is not below it
+    assert _violations(report)[((2, 0), (0, 1))]["closed_acyclic"] is False
+
+
+def test_disconnected_facet_graph_is_a_violation():
+    # the boundary of y plus that of a bigon with no vertex in common: every
+    # vertex still lies on exactly two edges, but the edges form two cycles
+    poset = build_poset(3)
+    y = _element(poset, [[2, 0], [0, 1]])
+    other = _element(poset, [[0, 1], [2, 0]])
+    _set_down(poset, y, poset.down[y] + poset.down[other])
+    report = check_sphericity(poset)
+    _assert_only_failures(
+        poset, report, y, "the facets are not linked through shared subfacets"
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
