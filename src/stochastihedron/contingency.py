@@ -198,7 +198,12 @@ def _iter_fixed_margins(alpha, beta, memo):
 
 def _count_fixed_margins(alpha, beta, memo):
     """Number of matrices with the given margins, walking the same tree as
-    _iter_fixed_margins but summing leaf counts instead of building rows."""
+    _iter_fixed_margins but summing leaf counts instead of building rows.
+
+    The count of each state (row margins still to fill, column budgets
+    left) goes into the census ``memo``, keyed by that pair of tuples so it
+    cannot meet a ``_bounded_compositions`` key, which starts with an int.
+    """
     p = len(alpha)
     if p == 1:
         return 1
@@ -206,9 +211,13 @@ def _count_fixed_margins(alpha, beta, memo):
     def rec(i, budgets):
         if i == p - 2:
             return len(_bounded_compositions(alpha[i], budgets, memo))
-        total = 0
-        for row in _bounded_compositions(alpha[i], budgets, memo):
-            total += rec(i + 1, tuple(b - r for b, r in zip(budgets, row)))
+        key = (alpha[i:], budgets)
+        total = memo.get(key)
+        if total is None:
+            total = 0
+            for row in _bounded_compositions(alpha[i], budgets, memo):
+                total += rec(i + 1, tuple(b - r for b, r in zip(budgets, row)))
+            memo[key] = total
         return total
 
     return rec(0, tuple(beta))

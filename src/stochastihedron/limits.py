@@ -16,7 +16,7 @@ ENUMERATION_CAP = 7       # full census of CM_n
 POSET_CAP = 7             # covers of the contraction order
 SPHERICITY_CAP = 6        # homology of every lower interval
 ANODYNE_CAP = 5           # union-find over anodyne contractions
-MEET_CAP = 6              # grouping CM_n by label pairs
+MEET_CAP = 7              # grouping CM_n by label pairs
 DOUBLE_COSET_CAP = 6      # orbit enumeration inside S_n
 CONSTANT_SHEAF_CAP = 5
 SHEAF_DIM_CAP = 8         # dimension of one space of a representation

@@ -16,6 +16,10 @@ forget part of that information:
 Anodyne contractions never change the multiset of nonzero entries, and
 chains of them sweep out exactly the fibers of these labels; the
 ``anodyne_classes`` and ``meet_check`` reports verify that combinatorially.
+Both group CM_n on raw tuple keys read off the row tuples (``_line_key``
+and ``_multiplicity_key``), never on label objects; ``meet_check`` builds
+its two checked labels once per group, and ``fnf_label`` and
+``ifnf_label`` are built from the same keys.
 
 All coordinates are exact rationals: collision detection is equality of
 fractions, never a floating-point tolerance.
@@ -169,27 +173,38 @@ def contingency_label(config):
     return ContingencyMatrix(grid, check=False)
 
 
+def _line_key(lines):
+    """The raw key of an FNF label read along ``lines``: the line sums, and
+    each line with its zeros dropped.  ``FnfLabel(*key)`` is the label;
+    equal keys mean equal labels, and keys sort as ``FnfLabel.sort_key``."""
+    gamma = tuple(tuple(filter(None, line)) for line in lines)
+    return tuple(map(sum, gamma)), gamma
+
+
+def _fnf_key(rows):
+    return _line_key(zip(*rows))
+
+
+def _multiplicity_key(rows):
+    return tuple(sorted((x for row in rows for x in row if x), reverse=True))
+
+
 def fnf_label(matrix):
     """[beta : gamma] containing the contingency cell: beta is the vertical
     margin, gamma[j] compresses column j in row order (left to right along
     the j-th line)."""
-    beta = OrderedPartition(tuple(sum(col) for col in zip(*matrix.rows)))
-    gamma = tuple(compress(matrix.column(j)) for j in range(matrix.q))
-    return FnfLabel(beta, gamma)
+    return FnfLabel(*_fnf_key(matrix.rows))
 
 
 def ifnf_label(matrix):
     """The dual label, i.e. the FNF label after swapping the two axes:
     the horizontal margin plus the compressed rows."""
-    return fnf_label(matrix.transpose())
+    return FnfLabel(*_line_key(matrix.rows))
 
 
 def multiplicity_partition(matrix):
     """Nonzero entries sorted non-increasingly: the complex-stratum label."""
-    entries = sorted(
-        (x for row in matrix.rows for x in row if x), reverse=True
-    )
-    return MultiplicityPartition(tuple(entries))
+    return MultiplicityPartition(_multiplicity_key(matrix.rows))
 
 
 def cell_dimensions(matrix):
@@ -315,10 +330,11 @@ class _UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-_FIBER_LABELS = {
-    (HORIZONTAL, VERTICAL): ("multiplicity", multiplicity_partition),
-    (HORIZONTAL,): ("fnf", fnf_label),
-    (VERTICAL,): ("ifnf", ifnf_label),
+# the raw key of each label map, read on row tuples
+_FIBER_KEYS = {
+    (HORIZONTAL, VERTICAL): ("multiplicity", _multiplicity_key),
+    (HORIZONTAL,): ("fnf", _fnf_key),
+    (VERTICAL,): ("ifnf", _line_key),
 }
 
 
@@ -333,11 +349,11 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
     """
     guard(n, ANODYNE_CAP, "anodyne equivalence classes")
     kinds = tuple(sorted(set(kinds)))
-    if kinds not in _FIBER_LABELS:
+    if kinds not in _FIBER_KEYS:
         raise DomainError(
             f"kinds must be horizontal, vertical, or both; got {kinds}"
         )
-    fiber_name, fiber_map = _FIBER_LABELS[kinds]
+    fiber_name, fiber_key = _FIBER_KEYS[kinds]
     if poset is None:
         poset = build_poset(n)
     elif poset.n != n:
@@ -353,7 +369,7 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
 
     fibers = {}
     for i, m in enumerate(elements):
-        fibers.setdefault(fiber_map(m), []).append(i)
+        fibers.setdefault(fiber_key(m.rows), []).append(i)
     fiber_list = sorted(tuple(v) for v in fibers.values())
     matches = sorted(class_list) == fiber_list
     return {
@@ -386,24 +402,30 @@ def anodyne_joins(n):
 def meet_check(n):
     """Group CM_n by the pair (FNF label, dual FNF label) and verify that
     each group determines the matrix size (p, q); group sizes are reported
-    as observed component counts of the pairwise intersections."""
+    as observed component counts of the pairwise intersections.
+
+    Matrices are grouped on the raw label keys; the two labels are built,
+    and checked, once per group."""
     guard(n, MEET_CAP, "label-pair grouping")
     groups = {}
     for m in enumerate_cm(n):
-        key = (fnf_label(m), ifnf_label(m))
-        groups.setdefault(key, []).append(m)
+        key = (_fnf_key(m.rows), _line_key(m.rows))
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [1, {(m.p, m.q)}]
+        else:
+            group[0] += 1
+            group[1].add((m.p, m.q))
     rows = []
     violations = []
-    for (fnf, ifnf), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
-    ):
-        sizes = {(m.p, m.q) for m in members}
+    for (fnf_key, ifnf_key), (count, sizes) in sorted(groups.items()):
+        fnf, ifnf = FnfLabel(*fnf_key), FnfLabel(*ifnf_key)
         expected = (ifnf.beta.length, fnf.beta.length)
         ok = sizes == {expected}
         row = {
             "fnf": fnf.to_json(),
             "ifnf": ifnf.to_json(),
-            "component_count": len(members),
+            "component_count": count,
             "sizes": sorted(sizes),
             "expected_size": list(expected),
             "pass": ok,

@@ -119,31 +119,6 @@ class FinitePoset:
     def __len__(self):
         return len(self.labels)
 
-    @classmethod
-    def from_leq(cls, labels, leq):
-        """Build from a <= predicate (reflexivity ignored); quadratic scan,
-        intended for small explicit posets."""
-        labels = tuple(labels)
-        m = len(labels)
-        above = []
-        for i in range(m):
-            mask = 0
-            for j in range(m):
-                if i != j and leq(labels[i], labels[j]):
-                    if leq(labels[j], labels[i]):
-                        raise DomainError(
-                            f"antisymmetry fails on {labels[i]!r}, {labels[j]!r}"
-                        )
-                    mask |= 1 << j
-            above.append(mask)
-        for i in range(m):
-            acc = above[i]
-            for j in _bits(above[i]):
-                acc |= above[j]
-            if acc != above[i]:
-                raise DomainError("relation is not transitive")
-        return cls(labels, above)
-
 
 class SimplicialComplex:
     """Vertices plus simplices grouped by dimension.
@@ -187,26 +162,6 @@ class SimplicialComplex:
 
     def simplex_count(self):
         return sum(len(level) for level in self.simplices)
-
-    @classmethod
-    def from_simplices(cls, vertex_count, simplices):
-        """Close an arbitrary family of simplices (vertex-index tuples)
-        under faces; vertices not covered stay as isolated 0-simplices."""
-        levels = {}
-        stack = [tuple(sorted(set(s))) for s in simplices]
-        stack.extend((v,) for v in range(vertex_count))
-        seen = set()
-        while stack:
-            s = stack.pop()
-            if s in seen or not s:
-                continue
-            seen.add(s)
-            levels.setdefault(len(s) - 1, set()).add(s)
-            if len(s) > 1:
-                stack.extend(s[:k] + s[k + 1 :] for k in range(len(s)))
-        top = max(levels) if levels else -1
-        by_dim = [sorted(levels.get(d, ())) for d in range(top + 1)]
-        return cls(tuple(range(vertex_count)), by_dim)
 
 
 def order_complex(poset):

@@ -1,4 +1,4 @@
-"""Shared builders for representation test suites.
+"""Shared builders and oracles for the test suites.
 
 Random per-cover matrices almost never satisfy the diamond condition, so
 the suites are built from functor-shaped data that commutes by
@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from stochastihedron.contingency import HORIZONTAL, build_poset
 from stochastihedron.sheaf import PosetRepresentation
+from stochastihedron.topology import SimplicialComplex
 
 
 def random_matrix(rng, rows, cols, singular=False):
@@ -64,6 +65,26 @@ def fraction_rank(rows):
         if r == nrows:
             break
     return r
+
+
+def complex_from_simplices(vertex_count, simplices):
+    """Close an arbitrary family of simplices (vertex-index tuples) under
+    faces; vertices not covered stay as isolated 0-simplices."""
+    levels = {}
+    stack = [tuple(sorted(set(s))) for s in simplices]
+    stack.extend((v,) for v in range(vertex_count))
+    seen = set()
+    while stack:
+        s = stack.pop()
+        if s in seen or not s:
+            continue
+        seen.add(s)
+        levels.setdefault(len(s) - 1, set()).add(s)
+        if len(s) > 1:
+            stack.extend(s[:k] + s[k + 1 :] for k in range(len(s)))
+    top = max(levels) if levels else -1
+    by_dim = [sorted(levels.get(d, ())) for d in range(top + 1)]
+    return SimplicialComplex(tuple(range(vertex_count)), by_dim)
 
 
 def rank_functor(poset, rng, dims=None):

@@ -7,11 +7,13 @@ to see one PASS line per criterion.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 from helpers import representation_suite
 
+from stochastihedron import strata
 from stochastihedron.contingency import (
     HORIZONTAL,
     VERTICAL,
@@ -19,6 +21,7 @@ from stochastihedron.contingency import (
     build_poset,
     colored_lift_count,
     count_cm,
+    count_cm_by_size,
     double_coset_count,
     enumerate_cm,
 )
@@ -213,3 +216,33 @@ def test_criterion_11_sheaf_corollaries():
         "zero-map rep rejected for fnf/complex, accepted for cont",
         ok,
     )
+
+
+def test_criterion_12_label_counts_in_closed_form():
+    # the raw keys the label reports group on, counted without the
+    # union-find or the label objects: p(n) multiplicity partitions and
+    # 3^(n-1) FNF and dual FNF labels
+    partition_numbers = (1, 2, 3, 5, 7, 11)
+    ok = True
+    for n in range(1, 7):
+        elements = enumerate_cm(n)
+        for kinds, expected in (
+            ((HORIZONTAL, VERTICAL), partition_numbers[n - 1]),
+            ((HORIZONTAL,), 3 ** (n - 1)),
+            ((VERTICAL,), 3 ** (n - 1)),
+        ):
+            _, key = strata._FIBER_KEYS[kinds]
+            ok = ok and len({key(m.rows) for m in elements}) == expected
+    report(
+        12,
+        "distinct label keys: p(n) multiplicities, 3^(n-1) FNF and dual FNF (n<=6)",
+        ok,
+    )
+
+
+def test_criterion_13_census_by_size_matches_enumeration():
+    ok = all(
+        count_cm_by_size(n) == Counter((m.p, m.q) for m in enumerate_cm(n))
+        for n in range(1, 7)
+    )
+    report(13, "memoized census by size = (p, q) tally of the enumeration (n<=6)", ok)

@@ -167,6 +167,11 @@ def test_meet_join_n6_skips_join():
     assert report["details"]["join"] == "skipped (capacity)"
 
 
+def test_meet_join_cap_is_seven(capsys):
+    assert cli.main(["--stable", "meet-join", "--n", "8"]) == 3
+    assert "capped at 7" in capsys.readouterr().err
+
+
 def test_sphericity_command():
     code, report = run_json("--stable", "sphericity", "--n", "2", "--full")
     assert code == 0

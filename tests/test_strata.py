@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from stochastihedron import strata
 from stochastihedron.contingency import (
     HORIZONTAL,
     VERTICAL,
@@ -108,6 +109,15 @@ def test_ifnf_label_examples():
 
     lab = ifnf_label(cm([[2]]))
     assert (lab.beta.parts, lab.gamma[0].parts) == ((2,), (2,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_labels_match_the_compress_route(n):
+    for m in enumerate_cm(n):
+        for label, matrix in ((fnf_label(m), m), (ifnf_label(m), m.transpose())):
+            beta = OrderedPartition(tuple(sum(col) for col in zip(*matrix.rows)))
+            gamma = tuple(compress(matrix.column(j)) for j in range(matrix.q))
+            assert label == FnfLabel(beta, gamma)
 
 
 def test_fnf_label_validation():
@@ -274,13 +284,32 @@ def test_anodyne_classes_match_fibers(n):
     # anodyne_joins shares one poset between the three kind sets
     joins = anodyne_joins(n)
     assert list(joins) == ["both", "horizontal", "vertical"]
+    elements = enumerate_cm(n)
+    label_maps = {
+        "multiplicity": multiplicity_partition,
+        "fnf": fnf_label,
+        "ifnf": ifnf_label,
+    }
     for name, kinds in (
         ("both", (HORIZONTAL, VERTICAL)),
         ("horizontal", (HORIZONTAL,)),
         ("vertical", (VERTICAL,)),
     ):
-        assert joins[name] == anodyne_classes(n, kinds)
-        assert joins[name]["pass"]
+        report = joins[name]
+        assert report == anodyne_classes(n, kinds)
+        assert report["pass"]
+        # the raw-key fibers the report compares with are the fibers of
+        # the label objects
+        fiber_name, key = strata._FIBER_KEYS[kinds]
+        by_label, by_key = {}, {}
+        for i, m in enumerate(elements):
+            by_label.setdefault(label_maps[fiber_name](m), []).append(i)
+            by_key.setdefault(key(m.rows), []).append(i)
+        fibers = sorted(tuple(v) for v in by_label.values())
+        assert sorted(tuple(v) for v in by_key.values()) == fibers
+        assert report["fiber_label"] == fiber_name
+        assert report["fiber_count"] == len(fibers)
+        assert sorted(report["classes"]) == fibers
 
 
 def test_anodyne_capacity():
@@ -314,3 +343,36 @@ def test_meet_check_sizes_constant(n):
     assert report["pass"]
     assert not report["violations"]
     assert sum(g["component_count"] for g in report["groups"]) == len(enumerate_cm(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_meet_groups_match_label_object_grouping(n):
+    groups = {}
+    for m in enumerate_cm(n):
+        groups.setdefault((fnf_label(m), ifnf_label(m)), []).append(m)
+    expected = [
+        (fnf.to_json(), ifnf.to_json(), len(members),
+         sorted({(m.p, m.q) for m in members}))
+        for (fnf, ifnf), members in sorted(
+            groups.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1].sort_key)
+        )
+    ]
+    report = meet_check(n)
+    assert [
+        (g["fnf"], g["ifnf"], g["component_count"], g["sizes"])
+        for g in report["groups"]
+    ] == expected
+
+
+def test_meet_check_builds_two_labels_per_group(monkeypatch):
+    built = []
+
+    class Counted(FnfLabel):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(strata, "FnfLabel", Counted)
+    report = meet_check(5)
+    assert report["pass"]
+    assert len(built) == 2 * report["group_count"]

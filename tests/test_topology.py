@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 
+from helpers import complex_from_simplices
+
 from stochastihedron import topology
 from stochastihedron.contingency import ContingencyMatrix, build_poset, count_cm
 from stochastihedron.errors import CapacityError, DomainError
@@ -45,18 +47,18 @@ def test_two_points():
 
 
 def test_four_cycle():
-    K = SimplicialComplex.from_simplices(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    K = complex_from_simplices(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert homology(K) == HomologyProfile.sphere(1)
 
 
 def test_solid_triangle():
-    K = SimplicialComplex.from_simplices(3, [(0, 1, 2)])
+    K = complex_from_simplices(3, [(0, 1, 2)])
     assert K.simplex_count() == 7
     assert homology(K) == HomologyProfile.trivial()
 
 
 def test_boundary_of_tetrahedron():
-    K = SimplicialComplex.from_simplices(
+    K = complex_from_simplices(
         4, list(itertools.combinations(range(4), 3))
     )
     assert homology(K) == HomologyProfile.sphere(2)
@@ -67,7 +69,7 @@ def test_projective_plane_torsion():
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
     ]
-    prof = homology(SimplicialComplex.from_simplices(6, triangles))
+    prof = homology(complex_from_simplices(6, triangles))
     assert prof.betti_number(1) == 0
     assert prof.torsion_factors(1) == (2,)
     assert prof.betti_number(2) == 0
@@ -79,13 +81,13 @@ def test_torus():
     for i in range(7):
         tris.add(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
         tris.add(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
-    prof = homology(SimplicialComplex.from_simplices(7, sorted(tris)))
+    prof = homology(complex_from_simplices(7, sorted(tris)))
     assert prof == profile({1: 2, 2: 1})
 
 
 def test_disjoint_union_of_sphere_and_point():
     simplices = list(itertools.combinations(range(4), 3)) + [(4,)]
-    prof = homology(SimplicialComplex.from_simplices(5, simplices))
+    prof = homology(complex_from_simplices(5, simplices))
     assert prof == profile({0: 1, 2: 1})
 
 
@@ -177,7 +179,7 @@ def test_pipeline_matches_naive_homology_on_random_complexes():
             tuple(sorted(rng.sample(range(nv), rng.randint(1, min(4, nv)))))
             for _ in range(n_faces)
         ]
-        K = SimplicialComplex.from_simplices(nv, maximal)
+        K = complex_from_simplices(nv, maximal)
         assert homology(K) == naive_homology(K)
 
 
@@ -199,7 +201,7 @@ def test_pipeline_matches_naive_homology_on_known_spaces():
         (rp2 + [tuple(v + 6 for v in t) for t in rp2]    # two RP^2 + S^2
          + list(itertools.combinations(range(12, 16), 3)), 16),
     ):
-        K = SimplicialComplex.from_simplices(nv, maximal)
+        K = complex_from_simplices(nv, maximal)
         assert homology(K) == naive_homology(K)
 
 
@@ -222,7 +224,7 @@ def test_disjoint_copies_are_swept_without_snf(monkeypatch):
 # order complexes
 
 def test_chain_gives_full_simplex():
-    P = FinitePoset.from_leq("abc", lambda x, y: x <= y)
+    P = FinitePoset("abc", (0b110, 0b100, 0))
     K = order_complex(P)
     assert K.simplex_count() == 7
     assert homology(K) == HomologyProfile.trivial()
@@ -233,11 +235,6 @@ def test_antichain_gives_isolated_vertices():
     K = order_complex(P)
     assert K.f_vector() == {0: 3}
     assert homology(K) == profile({0: 2})
-
-
-def test_from_leq_rejects_non_posets():
-    with pytest.raises(DomainError):
-        FinitePoset.from_leq((0, 1), lambda x, y: True)
 
 
 def test_cm2_interval_is_a_square_cycle():
