@@ -260,24 +260,28 @@ def _margin_pairs(n, p, q, alpha, beta):
             yield pp, qq, alphas, betas
 
 
-def enumerate_cm(n=None, p=None, q=None, alpha=None, beta=None):
-    """All contingency matrices meeting the constraints, canonically ordered.
-
-    Order is lexicographic on (p, q, row-flattened entries).  Margins may be
-    given as OrderedPartition or plain tuples; n is inferred from them.
-    """
+def _cm_rows(n=None, p=None, q=None, alpha=None, beta=None):
+    """The row tuples of ``enumerate_cm``, in its canonical order, one
+    (p, q) block at a time; the guard trips at the first ``next``."""
     n, p, q, alpha, beta = _resolve_constraints(n, p, q, alpha, beta)
     guard(n, ENUMERATION_CAP, "contingency matrix enumeration")
     memo = {}
-    out = []
     for _, _, alphas, betas in _margin_pairs(n, p, q, alpha, beta):
         block = []
         for a in alphas:
             for b in betas:
                 block.extend(_iter_fixed_margins(a.parts, b.parts, memo))
         block.sort()
-        out.extend(ContingencyMatrix(rows, check=False) for rows in block)
-    return out
+        yield from block
+
+
+def enumerate_cm(n=None, p=None, q=None, alpha=None, beta=None):
+    """All contingency matrices meeting the constraints, canonically ordered.
+
+    Order is lexicographic on (p, q, row-flattened entries).  Margins may be
+    given as OrderedPartition or plain tuples; n is inferred from them.
+    """
+    return [ContingencyMatrix(r, check=False) for r in _cm_rows(n, p, q, alpha, beta)]
 
 
 def count_cm_by_size(n=None, p=None, q=None, alpha=None, beta=None):
@@ -384,12 +388,12 @@ def _merge_blocks(lines, targets):
 class CmPoset:
     """CM_n with its covers (single contractions) and the contraction order.
 
-    ``covers`` lists (child, parent, kind, position) with
-    parent = contract(child, kind, position), children in element order,
-    then horizontal before vertical, then by position; the poset order
-    makes the contracted (coarser) matrix the larger one.  ``leq`` decides
-    the order from two matrices alone by the block-sum rule.  ``elements``
-    must be closed under contraction, as all of CM_n is.
+    ``covers``, the one record of kind and position, lists (child, parent,
+    kind, position) with parent = contract(child, kind, position), children
+    in element order, then horizontal before vertical, then by position;
+    ``up[i]`` and ``down[i]`` hold i's parent and child indices in that
+    order.  The contracted matrix is the larger; ``leq`` decides the order by
+    the block-sum rule.  ``elements`` must be closed under contraction.
     """
 
     def __init__(self, n, elements):
@@ -397,18 +401,19 @@ class CmPoset:
         self.elements = tuple(elements)
         self.index = index = {m.rows: i for i, m in enumerate(self.elements)}
         covers = []
-        up = [[] for _ in self.elements]
+        up = []
         down = [[] for _ in self.elements]
         for child, m in enumerate(self.elements):
-            rows = m.rows
+            parents = []
             for kind, limit in ((HORIZONTAL, m.p - 1), (VERTICAL, m.q - 1)):
                 for pos in range(limit):
-                    parent = index[_contracted_rows(rows, kind, pos)]
+                    parent = index[_contracted_rows(m.rows, kind, pos)]
                     covers.append((child, parent, kind, pos))
-                    up[child].append((parent, kind, pos))
-                    down[parent].append((child, kind, pos))
+                    parents.append(parent)
+                    down[parent].append(child)
+            up.append(tuple(parents))
         self.covers = tuple(covers)
-        self.up = tuple(map(tuple, up))
+        self.up = tuple(up)
         self.down = tuple(map(tuple, down))
 
     def __len__(self):

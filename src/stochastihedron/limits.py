@@ -21,6 +21,8 @@ DOUBLE_COSET_CAP = 6      # orbit enumeration inside S_n
 CONSTANT_SHEAF_CAP = 5
 SHEAF_DIM_CAP = 8         # dimension of one space of a representation
 TOTAL_POSITIVITY_CAP = 7  # matrix size, all-minors scan
+METAMATRIX_CAP = 40       # meta-matrix by inclusion-exclusion
+PARTITION_CAP = 20        # listing the ordered partitions of n
 DET_DIRECT_CAP = 12       # exact determinant of the meta-matrix
 RATIONAL_IDENTITY_CAP = 20
 

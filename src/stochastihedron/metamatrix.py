@@ -29,6 +29,7 @@ from .errors import DomainError
 from .limits import (
     DET_DIRECT_CAP,
     ENUMERATION_CAP,
+    METAMATRIX_CAP,
     RATIONAL_IDENTITY_CAP,
     TOTAL_POSITIVITY_CAP,
     guard,
@@ -141,6 +142,7 @@ def metamatrix(n, method="inclusion_exclusion"):
     if n < 1:
         raise DomainError(f"weight must be positive, got {n}")
     if method == "inclusion_exclusion":
+        guard(n, METAMATRIX_CAP, "meta-matrix by inclusion-exclusion")
         rows = tuple(
             tuple(metamatrix_entry(n, p, q) for q in range(1, n + 1))
             for p in range(1, n + 1)

@@ -12,6 +12,7 @@ i+1.  Enumeration is in lexicographic order of the parts sequence.
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .limits import PARTITION_CAP, guard
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,14 @@ def as_partition(value):
 def enumerate_ordered_partitions(n, p=None):
     """All ordered partitions of n (of length p if given), lexicographic.
 
-    There are C(n-1, p-1) of length p and 2^(n-1) in total.
+    There are C(n-1, p-1) of length p and 2^(n-1) in total, so n is capped
+    at PARTITION_CAP.
     """
     if n < 1:
         raise DomainError(f"weight must be positive, got {n}")
     if p is not None and not 1 <= p <= n:
         raise DomainError(f"length must satisfy 1 <= p <= {n}, got {p}")
+    guard(n, PARTITION_CAP, "ordered partition enumeration")
     out = []
 
     def rec(remaining, length_left, prefix):

@@ -14,6 +14,7 @@ the contingency stratification itself.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .contingency import HORIZONTAL, VERTICAL, CmPoset, build_poset
@@ -200,25 +201,21 @@ def validate(rep):
 
     diamond_failures = []
     for bottom in range(len(poset)):
-        ups = [parent for parent, _, _ in poset.up[bottom]]
-        for x in range(len(ups)):
-            for y in range(x + 1, len(ups)):
-                a, b = ups[x], ups[y]
-                tops_a = {parent for parent, _, _ in poset.up[a]}
-                tops_b = {parent for parent, _, _ in poset.up[b]}
-                for top in sorted(tops_a & tops_b):
-                    via_a = _compose(
-                        rep.map_for(a, top), rep.map_for(bottom, a),
-                        dims[top], dims[a], dims[bottom],
+        ups = [(a, set(poset.up[a])) for a in poset.up[bottom]]
+        for (a, tops_a), (b, tops_b) in combinations(ups, 2):
+            for top in sorted(tops_a & tops_b):
+                via_a = _compose(
+                    rep.map_for(a, top), rep.map_for(bottom, a),
+                    dims[top], dims[a], dims[bottom],
+                )
+                via_b = _compose(
+                    rep.map_for(b, top), rep.map_for(bottom, b),
+                    dims[top], dims[b], dims[bottom],
+                )
+                if via_a != via_b:
+                    diamond_failures.append(
+                        {"bottom": bottom, "top": top, "via": [a, b]}
                     )
-                    via_b = _compose(
-                        rep.map_for(b, top), rep.map_for(bottom, b),
-                        dims[top], dims[b], dims[bottom],
-                    )
-                    if via_a != via_b:
-                        diamond_failures.append(
-                            {"bottom": bottom, "top": top, "via": [a, b]}
-                        )
     rep.validated = not diamond_failures
     return {
         "n": poset.n,

@@ -32,8 +32,8 @@ from .contingency import (
     HORIZONTAL,
     VERTICAL,
     ContingencyMatrix,
+    _cm_rows,
     build_poset,
-    enumerate_cm,
 )
 from .errors import DomainError, StructuralError
 from .exactlinalg import parse_rational
@@ -404,18 +404,20 @@ def meet_check(n):
     each group determines the matrix size (p, q); group sizes are reported
     as observed component counts of the pairwise intersections.
 
-    Matrices are grouped on the raw label keys; the two labels are built,
-    and checked, once per group."""
+    The row tuples of CM_n are grouped on the raw label keys, with no
+    ContingencyMatrix built; the two labels are built, and checked, once
+    per group."""
     guard(n, MEET_CAP, "label-pair grouping")
     groups = {}
-    for m in enumerate_cm(n):
-        key = (_fnf_key(m.rows), _line_key(m.rows))
+    for rows in _cm_rows(n):
+        key = (_fnf_key(rows), _line_key(rows))
+        size = (len(rows), len(rows[0]))
         group = groups.get(key)
         if group is None:
-            groups[key] = [1, {(m.p, m.q)}]
+            groups[key] = [1, {size}]
         else:
             group[0] += 1
-            group[1].add((m.p, m.q))
+            group[1].add(size)
     rows = []
     violations = []
     for (fnf_key, ifnf_key), (count, sizes) in sorted(groups.items()):

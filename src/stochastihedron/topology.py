@@ -314,23 +314,36 @@ def chain_homology(dims, faces, signs):
 # ---------------------------------------------------------------------------
 # intervals of the contraction poset
 
+def _below(down, i):
+    """The set of elements strictly below element i."""
+    members, stack = set(), [i]
+    while stack:
+        for x in down[stack.pop()]:
+            if x not in members:
+                members.add(x)
+                stack.append(x)
+    return members
+
+
 def lower_interval(poset, matrix, strict=True):
     """The induced sub-poset on everything below a matrix in CM_n.
 
-    Labels are the canonical element indices of the ambient poset.
+    ``matrix`` is an element or its canonical index.  Labels are the
+    canonical element indices of the ambient poset.  Raises DomainError for
+    a matrix that is not an element, for an int outside
+    ``range(len(poset))`` and for a bool.
     """
-    i = poset.element_index(matrix) if not isinstance(matrix, int) else matrix
-    below = frontier = {i}
-    while frontier:
-        frontier = {c for g in frontier for c, _, _ in poset.down[g]} - below
-        below = below | frontier
-    members = sorted(below - {i} if strict else below)
+    i = matrix if isinstance(matrix, int) else poset.element_index(matrix)
+    if isinstance(i, bool) or not 0 <= i < len(poset):
+        raise DomainError(f"{matrix!r} is not an element index of CM_{poset.n}")
+    below = _below(poset.down, i)
+    members = sorted(below if strict else below | {i})
     pos = {g: k for k, g in enumerate(members)}
     # canonical order lists parents before children: one ascending sweep
     above = []
     for g in members:
         acc = 0
-        for parent, _, _ in poset.up[g]:
+        for parent in poset.up[g]:
             k = pos.get(parent)
             if k is not None:
                 acc |= above[k] | (1 << k)
@@ -366,14 +379,13 @@ def check_sphericity(poset, progress=None):
     down from M holds by the block-sum rule (``CmPoset.leq``), and the order
     is transitive.  This also cross-checks the covers the walk follows.
     """
-    down = [tuple(child for child, _, _ in covers) for covers in poset.down]
     rank = [poset.rank(i) for i in range(len(poset))]
     order = sorted(range(len(poset)), key=rank.__getitem__)
-    signs, faults = _incidence_signs(poset, down, order)
-    cover_ok = [all(poset.leq(x, y) for x in down[y]) for y in range(len(poset))]
+    signs, faults = _incidence_signs(poset, poset.down, order)
+    cover_ok = [all(poset.leq(x, y) for x in xs) for y, xs in enumerate(poset.down)]
     results = [None] * len(poset)
     for done, i in enumerate(order, 1):
-        results[i] = _check_cell(poset, down, rank, signs, faults, cover_ok, results, i)
+        results[i] = _check_cell(poset, rank, signs, faults, cover_ok, results, i)
         if progress is not None:
             progress(done, len(order))
     violations = [r for r in results if not r["pass"]]
@@ -472,16 +484,10 @@ def _cellular_chains(down, rank, signs, members):
     return dims, faces, cell_signs
 
 
-def _check_cell(poset, down, rank, signs, faults, cover_ok, results, i):
+def _check_cell(poset, rank, signs, faults, cover_ok, results, i):
     """The report of cell i; ``results`` holds the reports of its facets."""
     d_exp = rank[i] - 1
-    members = set()
-    stack = [i]
-    while stack:
-        for x in down[stack.pop()]:
-            if x not in members:
-                members.add(x)
-                stack.append(x)
+    members = _below(poset.down, i)
     acyclic_ok = cover_ok[i] and all(cover_ok[g] for g in members)
     cell = {
         "element": poset.elements[i].to_json(),
@@ -489,14 +495,14 @@ def _check_cell(poset, down, rank, signs, faults, cover_ok, results, i):
         "homology": None,
         "closed_acyclic": acyclic_ok,
     }
-    if not all(results[x]["pass"] for x in down[i]):
+    if not all(results[x]["pass"] for x in poset.down[i]):
         cell["reason"] = "a cell below failed, so its cellular chains do not apply"
     else:
-        profile = chain_homology(*_cellular_chains(down, rank, signs, members))
+        profile = chain_homology(*_cellular_chains(poset.down, rank, signs, members))
         cell["homology"] = profile.to_json()
         if i in faults:
             cell["reason"] = faults[i]
-        elif not _signs_cancel(down, signs, i):
+        elif not _signs_cancel(poset.down, signs, i):
             cell["reason"] = "the incidence signs do not cancel on every diamond"
         elif profile != HomologyProfile.sphere(d_exp):
             cell["reason"] = "not a homology sphere of the expected dimension"

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -170,6 +171,21 @@ def test_meet_join_n6_skips_join():
 def test_meet_join_cap_is_seven(capsys):
     assert cli.main(["--stable", "meet-join", "--n", "8"]) == 3
     assert "capped at 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("total-positivity", "--n", "1000"), "capped at 40"),
+    (("metamatrix", "--n", "1000"), "capped at 40"),
+    (("enumerate", "--what", "partitions", "--n", "1000"), "capped at 20"),
+])
+def test_caps_trip_before_the_work(argv, cap):
+    # M(1000) by inclusion-exclusion or the 2^999 partitions of 1000 would
+    # run for hours; the guard must refuse them at once
+    start = time.monotonic()
+    proc = run_cli("--stable", *argv)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 3, proc.stderr
+    assert cap in proc.stderr
 
 
 def test_sphericity_command():

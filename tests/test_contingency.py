@@ -270,6 +270,18 @@ def test_covers_are_the_single_contractions():
         }
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_up_and_down_are_the_covers_as_indices(n):
+    # covers is the one record of kind and position; up and down hold the
+    # parents and children of each element, in cover order, as plain ints
+    poset = build_poset(n)
+    for i in range(len(poset)):
+        assert poset.up[i] == tuple(p for c, p, _, _ in poset.covers if c == i)
+        assert poset.down[i] == tuple(c for c, p, _, _ in poset.covers if p == i)
+        for j in poset.up[i] + poset.down[i]:
+            assert type(j) is int
+
+
 def test_anodyne_covers_keep_the_nonzero_entries():
     # anodyne read off the entries: the contraction keeps the multiset of
     # nonzero entries, i.e. no two nonzero entries are added

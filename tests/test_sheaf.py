@@ -138,7 +138,7 @@ def saturated_chain_composites(rep, bottom, top):
         if at == top:
             out.append(tuple(tuple(row) for row in acc))
             return
-        for parent, _, _ in poset.up[at]:
+        for parent in poset.up[at]:
             if parent == top or poset.leq(parent, top):
                 matrix = rep.map_for(at, parent)
                 composed = [

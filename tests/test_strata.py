@@ -376,3 +376,20 @@ def test_meet_check_builds_two_labels_per_group(monkeypatch):
     report = meet_check(5)
     assert report["pass"]
     assert len(built) == 2 * report["group_count"]
+
+
+def test_meet_check_builds_no_contingency_matrix(monkeypatch):
+    # meet_check groups the census's raw row tuples
+    built = []
+    init = ContingencyMatrix.__init__
+
+    def counted(self, rows, check=True):
+        built.append(rows)
+        init(self, rows, check)
+
+    monkeypatch.setattr(ContingencyMatrix, "__init__", counted)
+    report = meet_check(5)
+    assert report["pass"] and report["group_count"] > 0
+    assert built == []
+    enumerate_cm(2)
+    assert len(built) == 5

@@ -273,6 +273,15 @@ def test_lower_interval_unknown_element():
         lower_interval(poset, ContingencyMatrix([[3]]))
 
 
+@pytest.mark.parametrize("index", [-1, 5, 99, True, False])
+def test_lower_interval_rejects_non_element_indices(index):
+    # CM_2 has 5 elements; a bool is not taken as the index 0 or 1
+    poset = build_poset(2)
+    for strict in (True, False):
+        with pytest.raises(DomainError, match="not an element index"):
+            lower_interval(poset, index, strict=strict)
+
+
 # ---------------------------------------------------------------------------
 # sphericity and the cell census
 
@@ -385,13 +394,13 @@ def test_dropped_cover_is_a_violation(rows):
 def test_third_middle_element_is_a_violation():
     poset = build_poset(3)
     y = _element(poset, [[2, 0], [0, 1]])
-    vertices = {w for x, _, _ in poset.down[y] for w, _, _ in poset.down[x]}
+    vertices = {w for x in poset.down[y] for w in poset.down[x]}
     extra = next(
         x for x in range(len(poset))
         if poset.rank(x) == 1 and not poset.leq(x, y)
-        and vertices & {w for w, _, _ in poset.down[x]}
+        and vertices & set(poset.down[x])
     )
-    _set_down(poset, y, poset.down[y] + ((extra, "horizontal", 0),))
+    _set_down(poset, y, poset.down[y] + (extra,))
     report = check_sphericity(poset)
     _assert_only_failures(
         poset, report, y,
