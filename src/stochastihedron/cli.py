@@ -21,6 +21,7 @@ from . import contingency, sheaf, strata, topology
 from .errors import CapacityError, DomainError, StructuralError
 from .metamatrix import (
     det_metamatrix,
+    guard_positivity_scan,
     metamatrix,
     total_count,
     total_positivity,
@@ -165,6 +166,7 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_total_positivity(args):
+    guard_positivity_scan(args.n)
     matrix = metamatrix(args.n)
     ok, witness = total_positivity(matrix)
     details = {

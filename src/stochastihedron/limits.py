@@ -18,7 +18,7 @@ SPHERICITY_CAP = 6        # homology of every lower interval
 ANODYNE_CAP = 5           # union-find over anodyne contractions
 MEET_CAP = 7              # grouping CM_n by label pairs
 DOUBLE_COSET_CAP = 6      # orbit enumeration inside S_n
-CONSTANT_SHEAF_CAP = 5
+CONSTANT_SHEAF_CAP = 6    # constant sheaf: covers and diamonds of CM_n
 SHEAF_DIM_CAP = 8         # dimension of one space of a representation
 TOTAL_POSITIVITY_CAP = 7  # matrix size, all-minors scan
 METAMATRIX_CAP = 40       # meta-matrix by inclusion-exclusion

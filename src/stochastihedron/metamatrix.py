@@ -349,6 +349,12 @@ def det_metamatrix(n):
     )
 
 
+def guard_positivity_scan(n):
+    """Refuse an all-minors scan of an n x n matrix above the cap; callers
+    that would build the matrix first call it before building."""
+    guard(n, TOTAL_POSITIVITY_CAP, "all-minors positivity scan")
+
+
 def total_positivity(matrix):
     """Scan every minor of every size; strict positivity of all of them.
 
@@ -361,7 +367,7 @@ def total_positivity(matrix):
     n = len(grid)
     if n == 0 or any(len(r) != n for r in grid):
         raise DomainError("total positivity test needs a square matrix")
-    guard(n, TOTAL_POSITIVITY_CAP, "all-minors positivity scan")
+    guard_positivity_scan(n)
     idx = range(n)
     for k in range(1, n + 1):
         for rows_sel in itertools.combinations(idx, k):

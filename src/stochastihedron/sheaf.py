@@ -11,11 +11,18 @@ map along every anodyne cover of the matching kind to be invertible:
 horizontal anodyne covers for the FNF stratification, vertical for the
 dual one, both for the complex stratification, and nothing at all for
 the contingency stratification itself.
+
+Each cover map is stored once, as a primitive integer matrix with one
+positive denominator: the rational matrix A/d, with d the lcm of its
+entries' denominators.  Diamonds are compared by cross-multiplication and
+invertibility by integer Bareiss elimination, so no ``Fraction`` is built
+on the hot paths; ``map_for`` gives the rational matrix back.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .contingency import HORIZONTAL, VERTICAL, CmPoset, build_poset
 from .errors import DomainError, StructuralError
@@ -35,7 +42,11 @@ class PosetRepresentation:
     """Spaces (dimensions) per element of a CmPoset, matrices per cover.
 
     The matrix on a cover (child, parent) has shape dim(parent) x dim(child)
-    and maps the child's space to the parent's.  Entries are Fractions.
+    and maps the child's space to the parent's.  The constructor takes
+    entries of any kind ``Fraction`` accepts; ``cover_maps`` holds each map
+    as ``(rows, den)``, a tuple of integer row tuples and the positive lcm
+    of the entries' denominators, so equal rational maps are stored equal.
+    ``map_for`` returns the map as a matrix of Fractions.
     """
 
     def __init__(self, poset, dims, cover_maps):
@@ -49,18 +60,26 @@ class PosetRepresentation:
             )
         if any(d < 0 for d in self.dims):
             raise StructuralError("dimensions must be nonnegative")
+        # runs of covers often share one matrix object (constant_sheaf
+        # passes one for all of them): convert it once, store it shared
         self.cover_maps = {}
-        for (child, parent), matrix in cover_maps.items():
-            self.cover_maps[(child, parent)] = tuple(
-                tuple(Fraction(x) for x in row) for row in matrix
-            )
+        last = stored = None
+        for pair, matrix in cover_maps.items():
+            if matrix is not last:
+                last, stored = matrix, _integral(matrix)
+            self.cover_maps[pair] = stored
         self.validated = False
 
-    def map_for(self, child, parent):
+    def _stored(self, child, parent):
         try:
             return self.cover_maps[(child, parent)]
         except KeyError:
             raise StructuralError(f"no map stored for cover {child} -> {parent}")
+
+    def map_for(self, child, parent):
+        """The map on a cover as a tuple of Fraction row tuples."""
+        rows, den = self._stored(child, parent)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     def to_json(self):
         return {
@@ -70,9 +89,9 @@ class PosetRepresentation:
                 {
                     "from": child,
                     "to": parent,
-                    "matrix": [[str(x) for x in row] for row in matrix],
+                    "matrix": _texts(rows, den),
                 }
-                for (child, parent), matrix in sorted(self.cover_maps.items())
+                for (child, parent), (rows, den) in sorted(self.cover_maps.items())
             ],
         }
 
@@ -96,6 +115,7 @@ class PosetRepresentation:
         if not isinstance(items, list):
             raise StructuralError('"maps" must be a list')
         maps = {}
+        parsed = {}  # entry text -> Fraction; matrices repeat few entries
         for item in items:
             if not isinstance(item, dict) or {"from", "to", "matrix"} - item.keys():
                 raise StructuralError('every map needs "from", "to" and "matrix"')
@@ -112,7 +132,7 @@ class PosetRepresentation:
                     f"matrix for map {pair[0]} -> {pair[1]} must be a list of lists"
                 )
             try:
-                maps[pair] = [[parse_rational(x) for x in row] for row in matrix]
+                maps[pair] = [[_parse(x, parsed) for x in row] for row in matrix]
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise StructuralError(f"bad matrix for map {pair}: {exc}") from exc
         # implicit empty matrices wherever one endpoint is 0-dimensional
@@ -123,6 +143,35 @@ class PosetRepresentation:
                 else:
                     raise StructuralError(f"missing map for cover {child} -> {parent}")
         return cls(poset, dims, maps)
+
+
+def _parse(value, parsed):
+    """parse_rational(value), once per distinct text."""
+    text = str(value)
+    if text not in parsed:
+        parsed[text] = parse_rational(text)
+    return parsed[text]
+
+
+def _integral(matrix):
+    """(rows, den) with rows / den equal to the matrix; den is the lcm of
+    the entries' denominators, so the pair is primitive."""
+    entries = [
+        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        for row in matrix
+    ]
+    den = lcm(*[x.denominator for row in entries for x in row])
+    rows = tuple(
+        [tuple([x.numerator * (den // x.denominator) for x in row]) for row in entries]
+    )
+    return rows, den
+
+
+def _texts(rows, den):
+    """The entries of rows / den as the strings of their Fractions."""
+    if den == 1:
+        return [list(map(str, row)) for row in rows]
+    return [[str(Fraction(x, den)) for x in row] for row in rows]
 
 
 def _json_int(value, what):
@@ -142,10 +191,7 @@ def constant_sheaf(n, dim):
         raise DomainError("dimension must be nonnegative")
     guard(dim, SHEAF_DIM_CAP, "constant sheaf dimension")
     poset = build_poset(n)
-    eye = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-        for i in range(dim)
-    ]
+    eye = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     maps = {(child, parent): eye for child, parent, _, _ in poset.covers}
     return PosetRepresentation(poset, [dim] * len(poset), maps)
 
@@ -156,21 +202,27 @@ def skyscraper(poset, at_index, dim=1):
     dims[at_index] = dim
     maps = {}
     for child, parent, _, _ in poset.covers:
-        maps[(child, parent)] = [
-            [Fraction(0)] * dims[child] for _ in range(dims[parent])
-        ]
+        maps[(child, parent)] = [[0] * dims[child] for _ in range(dims[parent])]
     return PosetRepresentation(poset, dims, maps)
 
 
-def _compose(a, b, rows_n, inner_n, cols_n):
-    """Matrix product a . b with explicit shapes, so zero-dimensional
-    spaces still produce correctly shaped (empty or zero) composites."""
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(inner_n)), Fraction(0))
-            for j in range(cols_n)
-        )
-        for i in range(rows_n)
+def _product(a, b, cols_n):
+    """Integer product a . b; cols_n keeps the shape when b has no rows."""
+    if not b:
+        return tuple((0,) * cols_n for _ in a)
+    columns = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
+
+
+def _differ(left, left_scale, right, right_scale):
+    """Whether left / left_scale and right / right_scale differ, compared
+    as right_scale * left against left_scale * right."""
+    if left_scale == right_scale:
+        return left != right
+    return any(
+        right_scale * x != left_scale * y
+        for row_l, row_r in zip(left, right)
+        for x, y in zip(row_l, row_r)
     )
 
 
@@ -185,10 +237,8 @@ def validate(rep):
     dims = rep.dims
     shape_failures = []
     for child, parent, _, _ in poset.covers:
-        matrix = rep.map_for(child, parent)
-        if len(matrix) != dims[parent] or any(
-            len(row) != dims[child] for row in matrix
-        ):
+        rows, _ = rep._stored(child, parent)
+        if len(rows) != dims[parent] or any(len(row) != dims[child] for row in rows):
             shape_failures.append(
                 {
                     "from": child,
@@ -199,20 +249,21 @@ def validate(rep):
     if shape_failures:
         raise StructuralError(f"cover maps with wrong shapes: {shape_failures}")
 
+    maps = rep.cover_maps
     diamond_failures = []
     for bottom in range(len(poset)):
         ups = [(a, set(poset.up[a])) for a in poset.up[bottom]]
         for (a, tops_a), (b, tops_b) in combinations(ups, 2):
             for top in sorted(tops_a & tops_b):
-                via_a = _compose(
-                    rep.map_for(a, top), rep.map_for(bottom, a),
-                    dims[top], dims[a], dims[bottom],
-                )
-                via_b = _compose(
-                    rep.map_for(b, top), rep.map_for(bottom, b),
-                    dims[top], dims[b], dims[bottom],
-                )
-                if via_a != via_b:
+                a1, d1 = maps[(a, top)]
+                b1, e1 = maps[(bottom, a)]
+                a2, d2 = maps[(b, top)]
+                b2, e2 = maps[(bottom, b)]
+                cols_n = dims[bottom]
+                if _differ(
+                    _product(a1, b1, cols_n), d1 * e1,
+                    _product(a2, b2, cols_n), d2 * e2,
+                ):
                     diamond_failures.append(
                         {"bottom": bottom, "top": top, "via": [a, b]}
                     )
@@ -225,19 +276,12 @@ def validate(rep):
     }
 
 
-def _is_isomorphism(matrix, dim_to, dim_from):
+def _is_isomorphism(rows, dim_to, dim_from):
+    """Whether a stored map is invertible; its denominator does not matter,
+    so integer Bareiss runs on its integer rows."""
     if dim_to != dim_from:
         return False
-    if dim_to == 0:
-        return True
-    # scaling a row by a nonzero integer keeps the determinant (non)zero;
-    # the lcm of its denominators makes the row integral, and integer
-    # Bareiss is far cheaper than Bareiss on Fractions
-    integral = []
-    for row in matrix:
-        scale = lcm(*(x.denominator for x in row))
-        integral.append([x.numerator * (scale // x.denominator) for x in row])
-    return determinant(integral) != 0
+    return dim_to == 0 or determinant(rows) != 0
 
 
 def is_constructible(rep, strat):
@@ -249,8 +293,8 @@ def is_constructible(rep, strat):
     if not rep.validated:
         raise StructuralError("validate() the representation first")
     for child, parent, kind, pos in rep.poset.anodyne_covers(STRATIFICATIONS[strat]):
-        matrix = rep.map_for(child, parent)
-        if not _is_isomorphism(matrix, rep.dims[parent], rep.dims[child]):
+        rows, _ = rep._stored(child, parent)
+        if not _is_isomorphism(rows, rep.dims[parent], rep.dims[child]):
             witness = {
                 "from": child,
                 "to": parent,

@@ -13,6 +13,7 @@ construction while still letting individual maps be singular:
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from stochastihedron.contingency import HORIZONTAL, build_poset
 from stochastihedron.sheaf import PosetRepresentation
@@ -65,6 +66,56 @@ def fraction_rank(rows):
         if r == nrows:
             break
     return r
+
+
+def fraction_compose(a, b, rows_n, inner_n, cols_n):
+    """Fraction matrix product a . b with explicit shapes, so zero-dimensional
+    spaces still produce correctly shaped (empty or zero) composites."""
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(inner_n)), Fraction(0))
+            for j in range(cols_n)
+        )
+        for i in range(rows_n)
+    )
+
+
+def fraction_diamond_failures(rep):
+    """The diamond check on Fraction matrices, in validate's order: the
+    oracle for its cross-multiplied integer check."""
+    poset, dims = rep.poset, rep.dims
+    failures = []
+    for bottom in range(len(poset)):
+        ups = [(a, set(poset.up[a])) for a in poset.up[bottom]]
+        for (a, tops_a), (b, tops_b) in combinations(ups, 2):
+            for top in sorted(tops_a & tops_b):
+                via_a = fraction_compose(
+                    rep.map_for(a, top), rep.map_for(bottom, a),
+                    dims[top], dims[a], dims[bottom],
+                )
+                via_b = fraction_compose(
+                    rep.map_for(b, top), rep.map_for(bottom, b),
+                    dims[top], dims[b], dims[bottom],
+                )
+                if via_a != via_b:
+                    failures.append({"bottom": bottom, "top": top, "via": [a, b]})
+    return failures
+
+
+def rescaled(rep, rng):
+    """The cover map c -> p times s_p / s_c for random nonzero fractions s:
+    functorial exactly when rep is, with unequal, non-unit denominators."""
+    scalars = [
+        Fraction(rng.choice([k for k in range(-9, 10) if k]), rng.randint(1, 12))
+        for _ in range(len(rep.poset))
+    ]
+    maps = {}
+    for child, parent in rep.cover_maps:
+        ratio = scalars[parent] / scalars[child]
+        maps[(child, parent)] = [
+            [ratio * x for x in row] for row in rep.map_for(child, parent)
+        ]
+    return PosetRepresentation(rep.poset, rep.dims, maps)
 
 
 def complex_from_simplices(vertex_count, simplices):

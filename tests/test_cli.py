@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -174,7 +176,7 @@ def test_meet_join_cap_is_seven(capsys):
 
 
 @pytest.mark.parametrize("argv, cap", [
-    (("total-positivity", "--n", "1000"), "capped at 40"),
+    (("total-positivity", "--n", "1000"), "capped at 7"),
     (("metamatrix", "--n", "1000"), "capped at 40"),
     (("enumerate", "--what", "partitions", "--n", "1000"), "capped at 20"),
 ])
@@ -186,6 +188,21 @@ def test_caps_trip_before_the_work(argv, cap):
     assert time.monotonic() - start < 10
     assert proc.returncode == 3, proc.stderr
     assert cap in proc.stderr
+
+
+@pytest.mark.parametrize("n", ["8", "40"])
+def test_total_positivity_guard_precedes_the_metamatrix(monkeypatch, capsys, n):
+    def no_build(*args, **kwargs):
+        raise AssertionError("M(n) was built before the all-minors guard")
+
+    monkeypatch.setattr(cli, "metamatrix", no_build)
+    assert cli.main(["--stable", "total-positivity", "--n", n]) == 3
+    assert f"capped at 7 (got {n})" in capsys.readouterr().err
+
+
+def test_constant_sheaf_cap_is_six(capsys):
+    assert cli.main(["--stable", "constant-sheaf", "--n", "7", "--dim", "1"]) == 3
+    assert "capped at 6" in capsys.readouterr().err
 
 
 def test_sphericity_command():
@@ -556,7 +573,52 @@ def edited_constant_sheaves(draw):
     return rep
 
 
-sheaf_payloads = edited_constant_sheaves() | random_representations | json_values
+# parseable rationals in each written form: "p/q", decimals, exponents
+rational_texts = (
+    st.fractions().map(str)
+    | st.decimals(allow_nan=False, allow_infinity=False).map(str)
+    | st.builds("{}e{}".format, st.integers(-10**6, 10**6), st.integers(-30, 30))
+)
+# nonzero element scalars whose ratios often have exact decimal forms
+element_scalars = st.sampled_from(
+    [Fraction(k, d) for k in (-3, -1, 1, 2, 5) for d in (1, 2, 4, 5)]
+)
+
+
+def _written(value, form):
+    """value as "p/q", or as a decimal or an exponent string when it has one."""
+    places = 0
+    while (value * 10**places).denominator != 1 and places < 4:
+        places += 1
+    digits = value * 10**places
+    if form == "fraction" or digits.denominator != 1:
+        return str(value)
+    if form == "exponent":
+        return f"{digits.numerator}e-{places}"
+    return str(Decimal(digits.numerator).scaleb(-places))
+
+
+@st.composite
+def rational_constant_sheaves(draw):
+    """The n = 2 rank-one sheaf with the cover map c -> p equal to
+    s_p / s_c, written as "p/q", a decimal or an exponent; it is then
+    functorial and constructible, unless one entry is redrawn."""
+    rep = constant_sheaf(2, 1).to_json()
+    scalars = [draw(element_scalars) for _ in rep["spaces"]]
+    for item in rep["maps"]:
+        form = draw(st.sampled_from(["fraction", "decimal", "exponent"]))
+        item["matrix"] = [[_written(scalars[item["to"]] / scalars[item["from"]], form)]]
+    if draw(st.booleans()):
+        draw(st.sampled_from(rep["maps"]))["matrix"] = [[draw(rational_texts)]]
+    return rep
+
+
+sheaf_payloads = (
+    edited_constant_sheaves()
+    | rational_constant_sheaves()
+    | random_representations
+    | json_values
+)
 
 
 def run_in_process(argv, payload):

@@ -1,12 +1,17 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from helpers import (
+    fraction_diamond_failures,
     fraction_rank,
     random_matrix,
+    rank_functor,
     representation_suite,
+    rescaled,
     size_functor,
 )
 
@@ -60,7 +65,7 @@ def test_unvalidated_rep_is_rejected():
 
 def test_broken_diamond_is_caught(poset2):
     rep = constant_sheaf(2, 1)
-    maps = dict(rep.cover_maps)
+    maps = {pair: rep.map_for(*pair) for pair in rep.cover_maps}
     child = poset2.element_index(ContingencyMatrix([[1, 0], [0, 1]]))
     parent = poset2.element_index(ContingencyMatrix([[1, 1]]))
     maps[(child, parent)] = [[Fraction(2)]]
@@ -179,7 +184,7 @@ def test_validate_equals_full_functoriality():
 
 def test_broken_rep_fails_both_validators(poset2):
     rep = constant_sheaf(2, 1)
-    maps = dict(rep.cover_maps)
+    maps = {pair: rep.map_for(*pair) for pair in rep.cover_maps}
     child = poset2.element_index(ContingencyMatrix([[0, 1], [1, 0]]))
     parent = poset2.element_index(ContingencyMatrix([[1], [1]]))
     maps[(child, parent)] = [[Fraction(-1)]]
@@ -247,10 +252,12 @@ def test_isomorphism_verdicts_match_fraction_rank():
             c, d = entry(), entry()
             m[-1] = [c * x + d * y for x, y in zip(m[0], m[-2])]
         expected = fraction_rank(m) == size
-        assert sheaf._is_isomorphism(m, size, size) is expected
+        den = lcm(*(x.denominator for row in m for x in row))
+        rows = [[int(x * den) for x in row] for row in m]
+        assert sheaf._is_isomorphism(rows, size, size) is expected
         verdicts.add(expected)
     assert verdicts == {True, False}
-    assert sheaf._is_isomorphism([[Fraction(1, 2), Fraction(1, 3)]], 1, 2) is False
+    assert sheaf._is_isomorphism([[3, 2]], 1, 2) is False
     assert sheaf._is_isomorphism([], 0, 0) is True
 
 
@@ -284,3 +291,77 @@ def test_json_round_trip():
         )
     with pytest.raises(StructuralError):
         PosetRepresentation.from_json({"spaces": {}})
+
+
+def _break_one_map(rep, rng):
+    """rep with one entry of one nonempty cover map moved by a fraction."""
+    covers = sorted(pair for pair, (rows, _) in rep.cover_maps.items()
+                    if rows and rows[0])
+    target = rng.choice(covers)
+    maps = {pair: rep.map_for(*pair) for pair in rep.cover_maps}
+    matrix = [list(row) for row in maps[target]]
+    i, j = rng.randrange(len(matrix)), rng.randrange(len(matrix[0]))
+    matrix[i][j] += Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 7))
+    maps[target] = matrix
+    return PosetRepresentation(rep.poset, rep.dims, maps)
+
+
+def test_diamonds_failing_match_fraction_oracle():
+    # rescaling keeps functorial reps functorial while giving the maps
+    # unequal, non-unit denominators; one moved entry breaks diamonds
+    rng = random.Random(20261020)
+    verdicts = set()
+    denominators = set()
+    for rep in representation_suite(16, max_n=4, seed=20261020):
+        rep = rescaled(rep, rng)
+        denominators.update(den for _, den in rep.cover_maps.values())
+        for _ in range(2):
+            report = validate(rep)
+            assert report["diamonds_failing"] == fraction_diamond_failures(rep)
+            verdicts.add(report["valid"])
+            if not any(rows and rows[0] for rows, _ in rep.cover_maps.values()):
+                break
+            rep = _break_one_map(rep, rng)
+    assert verdicts == {True, False}
+    assert len(denominators) > 5
+
+
+def test_round_trip_keeps_signs_denominators_and_empty_maps():
+    rng = random.Random(20261021)
+    poset = build_poset(3)
+    rep = rescaled(rank_functor(poset, rng, dims=[0, 2, 1, 3, 0]), rng)
+    data = rep.to_json()
+    entries = []
+    for item in data["maps"]:
+        want = rep.map_for(item["from"], item["to"])
+        assert item["matrix"] == [[str(x) for x in row] for row in want]
+        entries.extend(x for row in want for x in row)
+    assert any(x < 0 for x in entries) and any(x.denominator > 1 for x in entries)
+    assert any(not m["matrix"] or not m["matrix"][0] for m in data["maps"])
+    again = PosetRepresentation.from_json(json.loads(json.dumps(data)))
+    assert again.cover_maps == rep.cover_maps
+    for child, parent, _, _ in poset.covers:
+        assert again.map_for(child, parent) == rep.map_for(child, parent)
+
+
+@pytest.mark.parametrize("entry, stored", [
+    (Fraction(-3, 4), (-3, 4)),
+    ("-3/4", (-3, 4)),
+    ("-0.75", (-3, 4)),
+    ("-75e-2", (-3, 4)),
+    (-0.75, (-3, 4)),
+    (Decimal("-0.75"), (-3, 4)),
+    (2, (2, 1)),
+    (True, (1, 1)),
+    (Fraction(6, 3), (2, 1)),
+], ids=["Fraction", "p/q", "decimal", "exponent", "float", "Decimal", "int", "bool",
+        "integral-Fraction"])
+def test_constructor_takes_what_fraction_takes(poset2, entry, stored):
+    maps = {(child, parent): [[entry]] for child, parent, _, _ in poset2.covers}
+    rep = PosetRepresentation(poset2, [1] * 5, maps)
+    numerator, den = stored
+    assert set(rep.cover_maps.values()) == {(((numerator,),), den)}
+    assert all(type(x) is int for (rows, _) in rep.cover_maps.values()
+               for row in rows for x in row)
+    child, parent, _, _ = poset2.covers[0]
+    assert rep.map_for(child, parent) == ((Fraction(numerator, den),),)
