@@ -478,9 +478,6 @@ class CmPoset:
         """Index of the 1x1 matrix (n)."""
         return self.element_index(ContingencyMatrix(((self.n,),), check=False))
 
-    def minimal_indices(self):
-        return tuple(i for i in range(len(self.elements)) if not self.down[i])
-
 
 def build_poset(n):
     """Enumerate CM_n and record every single-contraction cover."""

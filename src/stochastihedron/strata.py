@@ -25,6 +25,7 @@ All coordinates are exact rationals: collision detection is equality of
 fractions, never a floating-point tolerance.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,56 +238,32 @@ def _shuffle_merge_reachable(target, sources):
     When several lines merge, the points of different lines interleave
     freely along the merged line while the order within each line is
     preserved; clusters of the limit pattern are sums of consecutive runs
-    of the interleaving.
+    of the interleaving.  So a depth-first walk over how far each source
+    has been read takes one source's next cluster at a time, unless the
+    running sum would step over a cut point (a partial sum) of `target`.
     """
     sources = tuple(tuple(s) for s in sources)
-    if sum(target) != sum(sum(s) for s in sources):
+    if sum(target) != sum(map(sum, sources)):
         return False
-    ns = len(sources)
-    memo = {}
-
-    def consume(state, amount):
-        """Pointer advances taking a consecutive run from each source's
-        front, the run sums adding up to `amount`."""
-        results = []
-
-        def rec(t, remaining, new_positions):
-            if t == ns:
-                if remaining == 0:
-                    results.append(tuple(new_positions))
-                return
-            src = sources[t]
-            k = state[t]
-            run = 0
-            while True:
-                new_positions.append(k)
-                rec(t + 1, remaining - run, new_positions)
-                new_positions.pop()
-                if k == len(src):
-                    break
-                run += src[k]
-                k += 1
-                if run > remaining:
-                    break
-
-        rec(0, amount, [])
-        return results
-
-    def reachable(state, i):
-        key = (state, i)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if i == len(target):
-            out = all(state[t] == len(sources[t]) for t in range(ns))
-        else:
-            out = any(
-                reachable(nxt, i + 1) for nxt in consume(state, target[i])
-            )
-        memo[key] = out
-        return out
-
-    return reachable((0,) * ns, 0)
+    # next_cut[s]: the least cut point above the running sum s
+    next_cut = []
+    for cut in itertools.accumulate(target):
+        next_cut.extend([cut] * (cut - len(next_cut)))
+    end = tuple(map(len, sources))
+    start = (0,) * len(sources)
+    seen = {start}
+    stack = [(start, 0)]
+    while stack:
+        state, total = stack.pop()
+        if state == end:
+            return True
+        for t, k in enumerate(state):
+            if k < end[t] and total + sources[t][k] <= next_cut[total]:
+                step = state[:t] + (k + 1,) + state[t + 1 :]
+                if step not in seen:
+                    seen.add(step)
+                    stack.append((step, total + sources[t][k]))
+    return False
 
 
 def fnf_closure_leq(a, b):
@@ -329,6 +306,13 @@ class _UnionFind:
         if rx != ry:
             self.parent[max(rx, ry)] = min(rx, ry)
 
+
+# the kind sets of anodyne contractions, by the names `--kind` takes
+ANODYNE_KINDS = {
+    "horizontal": (HORIZONTAL,),
+    "vertical": (VERTICAL,),
+    "both": (HORIZONTAL, VERTICAL),
+}
 
 # the raw key of each label map, read on row tuples
 _FIBER_KEYS = {
@@ -385,17 +369,13 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
 
 
 def anodyne_joins(n):
-    """``anodyne_classes`` for both kinds, horizontal only and vertical
-    only, keyed by those names, on one build of CM_n."""
+    """``anodyne_classes`` for each entry of ``ANODYNE_KINDS``, keyed by
+    its name in sorted order, on one build of CM_n."""
     guard(n, ANODYNE_CAP, "anodyne equivalence classes")
     poset = build_poset(n)
     return {
         name: anodyne_classes(n, kinds, poset)
-        for name, kinds in (
-            ("both", (HORIZONTAL, VERTICAL)),
-            ("horizontal", (HORIZONTAL,)),
-            ("vertical", (VERTICAL,)),
-        )
+        for name, kinds in sorted(ANODYNE_KINDS.items())
     }
 
 

@@ -9,14 +9,30 @@ degrees and signed face lists.  Two producers feed it:
 * ``check_sphericity`` takes CM_n itself: one cell per element, in the
   degree of its rank 2n-(p+q), with its covers as faces.  CM_n is the face
   poset of a regular CW ball, so the strict lower interval P<M should be a
-  sphere of dimension rank(M)-1.  The +-1 incidences are fixed once per
-  poset, in rank order, by propagation across diamonds: the two paths
-  through every rank-2 interval must cancel.  By Bjorner ("Posets, regular
-  CW complexes and Bruhat order", Europ. J. Combin. 5, 1984), once every
-  P<y with y < M is a homology sphere of dimension rank(y)-1, P<M has the
-  homology of its cellular chain complex.  That route is valid only in
-  rank order, so a cell with a failed cell below it fails, as does a cell
-  whose boundary cannot be signed or whose signs do not cancel.
+  sphere of dimension rank(M)-1.  By Bjorner ("Posets, regular CW
+  complexes and Bruhat order", Europ. J. Combin. 5, 1984), once every P<y
+  with y < M is a homology sphere of dimension rank(y)-1, P<M has the
+  homology of its cellular chain complex under any +-1 incidences whose
+  boundary of a boundary is zero.  That route is valid only in rank order,
+  so a cell with a failed cell below it fails, as does a cell that lists a
+  facet which is not one of its covers or whose signs do not cancel.
+
+The incidences have a closed form.  The contingency cell of a p x q matrix
+is a product of two chambers, x_1 < ... < x_p times y_1 < ... < y_q.  In
+the coordinates x_1, the gaps x_(i+1) - x_i, y_1 and the gaps
+y_(j+1) - y_j it is an open orthant, and merging rows i, i+1 (from 0) sets
+coordinate k = i+1 to zero, merging columns j, j+1 coordinate k = p+j+1.
+Give that face the sign (-1)^(k+1), which is (-1)^j for y at index j of
+``up[x]`` (row merges come first) and (-1)^(j+1) for a column merge.  Two
+merges drop coordinates k < l either as k then l-1 or as l then k, so the
+two paths through every diamond cancel; the stochastihedron is the dual
+ball and reads the same incidences upwards.  Below a vertex, an n x n
+permutation matrix, lies the empty cell.  The two vertices of an edge split
+one line of the edge in the two orders, so they differ by one adjacent
+transposition; multiplying each vertex's incidences by the sign of its
+permutation makes the pair cancel, and leaves every diamond above the
+vertices cancelling.  ``_signs_cancel`` still checks every cell, so a poset
+that is not a CW poset fails there or in its homology.
 
 The cellular route is what makes sphericity reach n = 6: the order complex
 is a barycentric subdivision, with 159,056 simplices in the strict interval
@@ -38,6 +54,7 @@ Reduced homology conventions: the empty cell is a genuine cell in degree
 (any poset with a maximum or minimum) is acyclic.
 """
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -72,10 +89,6 @@ class HomologyProfile:
         if d < -1:
             raise DomainError(f"sphere dimension must be >= -1, got {d}")
         return cls.make({d: 1}, {})
-
-    @classmethod
-    def trivial(cls):
-        return cls.make({}, {})
 
     def betti_number(self, d):
         return dict(self.betti).get(d, 0)
@@ -159,9 +172,6 @@ class SimplicialComplex:
 
     def f_vector(self):
         return {d: len(level) for d, level in enumerate(self.simplices)}
-
-    def simplex_count(self):
-        return sum(len(level) for level in self.simplices)
 
 
 def order_complex(poset):
@@ -370,8 +380,8 @@ def check_sphericity(poset, progress=None):
     ``_incidence_signs``; the homology of P<M is that of the cellular chain
     complex on its elements only when every cell below M has passed, so a
     cell with a failed cell below it fails without a homology run.  A cell
-    also fails when its boundary cannot be signed or its signs do not cancel
-    on every diamond below it.
+    also fails when it lists a facet that is not one of its covers, or when
+    its signs do not cancel on every diamond below it.
 
     The closed interval P<=M is the cone over P<M with apex M, so it is
     acyclic for any poset; instead of computing its homology, each cell
@@ -381,7 +391,7 @@ def check_sphericity(poset, progress=None):
     """
     rank = [poset.rank(i) for i in range(len(poset))]
     order = sorted(range(len(poset)), key=rank.__getitem__)
-    signs, faults = _incidence_signs(poset, poset.down, order)
+    signs, faults = _incidence_signs(poset)
     cover_ok = [all(poset.leq(x, y) for x in xs) for y, xs in enumerate(poset.down)]
     results = [None] * len(poset)
     for done, i in enumerate(order, 1):
@@ -398,58 +408,44 @@ def check_sphericity(poset, progress=None):
     }
 
 
-def _incidence_signs(poset, down, order):
-    """A sign +1 or -1 on every cover, fixed one cell at a time in rank order.
+def _incidence_signs(poset):
+    """A sign +1 or -1 on every cover, in closed form.
 
-    Facets x and x' of y that share a subfacet w (the empty cell, for the
-    two vertices of an edge) must give w opposite coefficients in the
-    boundary of the boundary of y.  Fixing y's first facet to +1 and
-    following these links signs every facet of a connected facet graph.
-    Returns (signs, faults): signs[y] is aligned with down[y], or None when
-    y or one of its facets could not be signed; faults[y] says why y could
-    not.  Links outside the spanning tree are not checked here:
-    ``_signs_cancel`` checks every diamond.
+    The sign of facet x of y depends on y's place j in ``up[x]``, whose
+    row merges come first: (-1)^j for a row merge, (-1)^(j+1) for a
+    column merge, times sgn(sigma) when x is the permutation matrix of
+    sigma; the module docstring shows why these cancel.  Returns (signs,
+    faults): signs[y] is aligned with down[y], or None when y lists a facet
+    x that does not have y among its covers; faults[y] says so.
     """
-    signs = [None] * len(down)
+    elements, up = poset.elements, poset.up
+    signs = [None] * len(poset.down)
     faults = {}
-    for y in order:
-        facets = down[y]
-        if not facets:
-            signs[y] = ()
-            continue
-        if any(signs[x] is None for x in facets):
-            continue
-        through = {}
-        for k, x in enumerate(facets):
-            for w, s in _boundary(down, signs, x):
-                through.setdefault(w, []).append((k, s))
-        links = [[] for _ in facets]
-        for w, hits in through.items():
-            if len(hits) != 2:
-                below = "the empty cell" if w < 0 else poset.elements[w].rows
+    for y, facets in enumerate(poset.down):
+        sign = []
+        for x in facets:
+            try:
+                j = up[x].index(y)
+            except ValueError:
                 faults[y] = (
-                    f"the interval from {below} up to this cell has "
-                    f"{len(hits)} middle elements, not 2"
+                    f"lists a facet {elements[x].rows} that is not one of its covers"
                 )
                 break
-            (a, sa), (b, sb) = hits
-            links[a].append((b, -sa * sb))
-            links[b].append((a, -sa * sb))
+            if j >= elements[x].p - 1:
+                j += 1
+            sign.append(-1 if j % 2 else 1)
+            if poset.rank(x) == 0:
+                sign[-1] *= _permutation_sign(elements[x].rows)
         else:
-            sign = [0] * len(facets)
-            sign[0] = 1
-            stack = [0]
-            while stack:
-                a = stack.pop()
-                for b, factor in links[a]:
-                    if not sign[b]:
-                        sign[b] = sign[a] * factor
-                        stack.append(b)
-            if all(sign):
-                signs[y] = tuple(sign)
-            else:
-                faults[y] = "the facets are not linked through shared subfacets"
+            signs[y] = tuple(sign)
     return signs, faults
+
+
+def _permutation_sign(rows):
+    """sgn(sigma) for the permutation matrix of sigma."""
+    sigma = [row.index(1) for row in rows]
+    inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+    return -1 if inversions % 2 else 1
 
 
 def _boundary(down, signs, x):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from decimal import Decimal
 from fractions import Fraction
 
@@ -97,6 +98,24 @@ def test_unstable_output_has_timing():
     code, report = run_json("metamatrix", "--n", "2")
     assert code == 0
     assert "elapsed_ms" in report
+
+
+def test_elapsed_ms_covers_writing_the_report(monkeypatch):
+    # every write to stdout advances a fake clock by one second; this
+    # report spans several batches of encoder chunks, and the ones before
+    # elapsed_ms are written by the time it is read
+    clock = [0.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+
+    class SlowStdout(io.StringIO):
+        def write(self, text):
+            clock[0] += 1.0
+            return super().write(text)
+
+    out = SlowStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["enumerate", "--n", "5"]) == 0
+    assert json.loads(out.getvalue())["elapsed_ms"] >= 1000
 
 
 def test_metamatrix_weight1():

@@ -249,7 +249,7 @@ def test_poset_extremes():
         assert all(
             poset.leq(i, top) for i in range(len(poset))
         )
-        minimal = poset.minimal_indices()
+        minimal = [i for i in range(len(poset)) if not poset.down[i]]
         assert len(minimal) == factorial(n)
         for i in minimal:
             m = poset.elements[i]

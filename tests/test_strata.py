@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +220,29 @@ def test_dimension_monotone_along_closure():
         for b in labels:
             if fnf_closure_leq(a, b):
                 assert a.dimension <= b.dimension
+
+
+def _bench_oracle():
+    # the benchmark's reference combinatorics, which import nothing from
+    # the library, loaded by path
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_closure_order_matches_contractions_of_cm():
+    # label a lies in the closure of label b exactly when some matrix over
+    # b contracts to a matrix over a: every pair of labels up to n = 5
+    oracle = _bench_oracle()
+    for n in range(1, 6):
+        closure = oracle.fnf_closure(n)
+        assert len(closure) == 3 ** (n - 1)
+        labels = {key: FnfLabel(*key) for key in closure}
+        for a, label_a in labels.items():
+            for b, label_b in labels.items():
+                assert fnf_closure_leq(label_a, label_b) == (a in closure[b]), (a, b)
 
 
 def test_covers_respect_fnf_closure():
