@@ -21,6 +21,7 @@ import time
 
 from . import contingency, sheaf, strata, topology
 from .errors import CapacityError, DomainError, StructuralError
+from .limits import METAMATRIX_CAP
 from .metamatrix import (
     det_metamatrix,
     guard_positivity_scan,
@@ -57,6 +58,23 @@ def _load_json(path):
         # past the int-string conversion limit; RecursionError, nesting
         # deeper than the decoder's stack
         raise StructuralError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _refused_census(args):
+    """'; |CM_n| = N' for the capacity message of a run over all of CM_n
+    (``enumerate`` of matrices with no margin or size given, ``poset``,
+    ``sphericity``), counted in closed form when n is within the
+    meta-matrix cap; else ''."""
+    n = getattr(args, "n", None)
+    if (
+        args.command in ("enumerate", "poset", "sphericity")
+        and getattr(args, "what", "matrices") == "matrices"
+        and all(getattr(args, key, None) is None for key in ("p", "q", "alpha", "beta"))
+        and n is not None
+        and n <= METAMATRIX_CAP
+    ):
+        return f"; |CM_{n}| = {total_count(n):,}"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +395,7 @@ def main(argv=None):
     try:
         passed, details = args.handler(args)
     except CapacityError as exc:
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
+        print(f"capacity exceeded: {exc}{_refused_census(args)}", file=sys.stderr)
         return EXIT_CAPACITY
     except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

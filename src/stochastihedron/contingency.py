@@ -17,8 +17,9 @@ adjacent columns.  Canonical element order is lexicographic on
 
 import itertools
 import operator
+from itertools import accumulate, repeat
 from math import factorial
-from operator import add
+from operator import add, lshift
 
 from .errors import DomainError
 from .limits import DOUBLE_COSET_CAP, ENUMERATION_CAP, POSET_CAP, guard
@@ -49,16 +50,15 @@ class ContingencyMatrix:
                 raise DomainError(f"entries must be integers: {exc}") from exc
             if not rows or not rows[0]:
                 raise DomainError("matrix must have at least one row and column")
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
+            if len(set(map(len, rows))) != 1:
                 raise DomainError("rows must all have the same length")
-            if any(x < 0 for row in rows for x in row):
+            if min(map(min, rows)) < 0:
                 raise DomainError("entries must be nonnegative")
-            if any(not any(row) for row in rows):
+            if not all(map(any, rows)):
                 raise DomainError(f"zero row in {rows}")
-            for j in range(width):
-                if not any(row[j] for row in rows):
-                    raise DomainError(f"zero column {j} in {rows}")
+            if not all(map(any, zip(*rows))):
+                j = next(j for j, column in enumerate(zip(*rows)) if not any(column))
+                raise DomainError(f"zero column {j} in {rows}")
         else:
             rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
@@ -112,11 +112,15 @@ def _check_position(matrix, kind, i):
         raise DomainError(f"unknown contraction kind {kind!r}")
 
 
-def _contracted_rows(rows, kind, i):
-    """The row tuples after merging rows i, i+1 (horizontal) or columns
-    i, i+1 (any other kind); the caller vouches for kind and range."""
-    if kind == HORIZONTAL:
-        return rows[:i] + (tuple(map(add, rows[i], rows[i + 1])),) + rows[i + 2 :]
+def _merge_rows(rows, i):
+    """The row tuples after adding rows i and i+1; the caller vouches for
+    the range."""
+    return rows[:i] + (tuple(map(add, rows[i], rows[i + 1])),) + rows[i + 2 :]
+
+
+def _merge_columns(rows, i):
+    """The row tuples after adding columns i and i+1; the caller vouches
+    for the range."""
     return tuple([r[:i] + (r[i] + r[i + 1],) + r[i + 2 :] for r in rows])
 
 
@@ -127,7 +131,8 @@ def contract(matrix, kind, i):
     entries: sums of a valid matrix's entries form a valid matrix.
     """
     _check_position(matrix, kind, i)
-    return ContingencyMatrix(_contracted_rows(matrix.rows, kind, i), check=False)
+    merge = _merge_rows if kind == HORIZONTAL else _merge_columns
+    return ContingencyMatrix(merge(matrix.rows, i), check=False)
 
 
 def is_anodyne(matrix, kind, i):
@@ -367,22 +372,22 @@ def double_coset_count(alpha, beta):
 # ---------------------------------------------------------------------------
 # the contraction poset
 
-def _merge_blocks(lines, targets):
-    """Add consecutive lines (row tuples) into blocks summing to `targets`,
-    of equal grand total; None if impossible.  Sums are positive: one way."""
-    blocks = []
-    lines = iter(lines)
-    for target in targets:
-        block = next(lines)
-        total = sum(block)
-        while total < target:
-            line = next(lines)
-            block = tuple(map(add, block, line))
-            total += sum(line)
-        if total != target:
-            return None
-        blocks.append(block)
-    return blocks
+def _cut_mask(rows, n):
+    """The cut mask of a matrix of weight n, read off its rows.
+
+    Bit (R*(n+1) + C)*(n+1) + S is set for each row cut R (a prefix sum of
+    the row sums, 0 and n included), each column cut C, and the weight S
+    of the entries in the rows above R and the columns left of C.
+    """
+    base = n + 1
+    # the bit positions of one row cut, one per column cut; R = 0 first
+    plane = [c * base for c in accumulate(map(sum, zip(*rows)), initial=0)]
+    positions = plane[:]
+    for row in rows:
+        # the next row cut: R grows by the row's sum, each S by a prefix sum
+        plane = list(map(add, plane, accumulate(row, initial=sum(row) * base * base)))
+        positions += plane
+    return sum(map(lshift, repeat(1), positions))
 
 
 class CmPoset:
@@ -393,28 +398,41 @@ class CmPoset:
     in element order, then horizontal before vertical, then by position;
     ``up[i]`` and ``down[i]`` hold i's parent and child indices in that
     order.  The contracted matrix is the larger; ``leq`` decides the order by
-    the block-sum rule.  ``elements`` must be closed under contraction.
+    cut masks, each made from its element's rows on first use.  ``elements``
+    must be closed under contraction and under transposition, as CM_n is.
     """
 
     def __init__(self, n, elements):
         self.n = n
-        self.elements = tuple(elements)
-        self.index = index = {m.rows: i for i, m in enumerate(self.elements)}
+        self.elements = elements = tuple(elements)
+        self.index = index = {m.rows: i for i, m in enumerate(elements)}
+        up = [
+            tuple([index[_merge_rows(m.rows, pos)] for pos in range(m.p - 1)])
+            for m in elements
+        ]
+        # merging columns i, i+1 of A is merging rows i, i+1 of A's
+        # transpose, transposed back; up[t] begins with t's row merges
+        transpose = [index[tuple(zip(*m.rows))] for m in elements]
+        for child, t in enumerate(transpose):
+            columns = up[t][: elements[child].q - 1]
+            up[child] += tuple([transpose[x] for x in columns])
         covers = []
-        up = []
-        down = [[] for _ in self.elements]
-        for child, m in enumerate(self.elements):
-            parents = []
-            for kind, limit in ((HORIZONTAL, m.p - 1), (VERTICAL, m.q - 1)):
-                for pos in range(limit):
-                    parent = index[_contracted_rows(m.rows, kind, pos)]
-                    covers.append((child, parent, kind, pos))
-                    parents.append(parent)
-                    down[parent].append(child)
-            up.append(tuple(parents))
+        add_cover = covers.append
+        down = [[] for _ in elements]
+        for child, parents in enumerate(up):
+            rows_up = elements[child].p - 1
+            for pos, parent in enumerate(parents[:rows_up]):
+                add_cover((child, parent, HORIZONTAL, pos))
+                down[parent].append(child)
+            for pos, parent in enumerate(parents[rows_up:]):
+                add_cover((child, parent, VERTICAL, pos))
+                down[parent].append(child)
         self.covers = tuple(covers)
         self.up = tuple(up)
         self.down = tuple(map(tuple, down))
+        # made last: made before the covers, it raised the peak RSS of a
+        # build_poset(6) followed by order queries by about 1 MB
+        self._masks = [None] * len(elements)
 
     def __len__(self):
         return len(self.elements)
@@ -432,38 +450,56 @@ class CmPoset:
         m = self.elements[i]
         return 2 * self.n - (m.p + m.q)
 
+    def _mask(self, i):
+        """Element i's cut mask, made from its own rows, never from a cover,
+        so that a check of the covers by ``leq`` is a check."""
+        mask = self._masks[i] = _cut_mask(self.elements[i].rows, self.n)
+        return mask
+
     def leq(self, i, j, kinds=KINDS):
         """Element i <= element j, following contractions of these kinds.
 
-        Block-sum rule: A <= B exactly when B is A with consecutive rows
-        added into blocks with B's row sums, then consecutive columns into
-        blocks with B's column sums.  The horizontal-only order keeps the
-        columns, the vertical-only order keeps the rows.
+        A <= B exactly when every bit of B's cut mask (``_cut_mask``) is
+        one of A's.  If A <= B, B is A with consecutive rows added into
+        blocks and consecutive columns added into blocks.  Adding keeps the
+        cumulative sums at the cuts it keeps, so every (R, C, S) of B is one
+        of A's.  Conversely, if every (R, C, S) of B is one of A's, then B's
+        row and column cuts are among A's, and A has B's cumulative sums S
+        at B's cuts.  By inclusion-exclusion, each entry of B is the sum of
+        A's entries between two consecutive row cuts and two consecutive
+        column cuts of B, so B is A's block sum.  The horizontal-only order
+        keeps the columns and the vertical-only order keeps the rows, which
+        the test of p and q adds.
         """
         a, b = self.elements[i], self.elements[j]
         rows_ok = b.p == a.p or (b.p < a.p and HORIZONTAL in kinds)
         columns_ok = b.q == a.q or (b.q < a.q and VERTICAL in kinds)
         if not (rows_ok and columns_ok):
             return False
-        rows = _merge_blocks(a.rows, list(map(sum, b.rows)))
-        if rows is None:
-            return False
-        columns = list(zip(*b.rows))
-        return _merge_blocks(zip(*rows), list(map(sum, columns))) == columns
+        masks = self._masks
+        mask_a = masks[i] or self._mask(i)
+        mask_b = masks[j] or self._mask(j)
+        return mask_a & mask_b == mask_b
+
+    def _query(self, small, large, kinds):
+        """``leq`` on two matrices or raw row lists; DomainError for a
+        matrix that is not an element."""
+        index = self.index
+        try:
+            i, j = index[small.rows], index[large.rows]
+        except (AttributeError, KeyError):
+            i, j = self.element_index(small), self.element_index(large)
+        return self.leq(i, j, kinds)
 
     def cm_leq(self, small, large):
         """The order generated by contractions of both kinds."""
-        return self.leq(self.element_index(small), self.element_index(large))
+        return self._query(small, large, KINDS)
 
     def cm_leq_horizontal(self, small, large):
-        return self.leq(
-            self.element_index(small), self.element_index(large), (HORIZONTAL,)
-        )
+        return self._query(small, large, (HORIZONTAL,))
 
     def cm_leq_vertical(self, small, large):
-        return self.leq(
-            self.element_index(small), self.element_index(large), (VERTICAL,)
-        )
+        return self._query(small, large, (VERTICAL,))
 
     def anodyne_covers(self, kinds=KINDS):
         """The covers of these kinds whose two merged slices have disjoint

@@ -386,7 +386,7 @@ def check_sphericity(poset, progress=None):
     The closed interval P<=M is the cone over P<M with apex M, so it is
     acyclic for any poset; instead of computing its homology, each cell
     checks that M lies above every member of P<M: every cover on the walk
-    down from M holds by the block-sum rule (``CmPoset.leq``), and the order
+    down from M holds by the cut masks of ``CmPoset.leq``, and the order
     is transitive.  This also cross-checks the covers the walk follows.
     """
     rank = [poset.rank(i) for i in range(len(poset))]

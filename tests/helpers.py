@@ -14,8 +14,9 @@ construction while still letting individual maps be singular:
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
-from stochastihedron.contingency import HORIZONTAL, build_poset
+from stochastihedron.contingency import HORIZONTAL, KINDS, VERTICAL, build_poset
 from stochastihedron.sheaf import PosetRepresentation
 from stochastihedron.topology import SimplicialComplex
 
@@ -100,6 +101,44 @@ def fraction_diamond_failures(rep):
                 if via_a != via_b:
                     failures.append({"bottom": bottom, "top": top, "via": [a, b]})
     return failures
+
+
+def _merge_blocks(lines, targets):
+    """Add consecutive lines (row tuples) into blocks summing to `targets`,
+    of equal grand total; None if impossible.  Sums are positive: one way."""
+    blocks = []
+    lines = iter(lines)
+    for target in targets:
+        block = next(lines)
+        total = sum(block)
+        while total < target:
+            line = next(lines)
+            block = tuple(map(add, block, line))
+            total += sum(line)
+        if total != target:
+            return None
+        blocks.append(block)
+    return blocks
+
+
+def block_sum_leq(a, b, kinds=KINDS):
+    """Matrix a <= matrix b by the block-sum rule: the oracle for the cut
+    masks of ``CmPoset.leq``.
+
+    b is a with consecutive rows added into blocks with b's row sums, then
+    consecutive columns into blocks with b's column sums.  The
+    horizontal-only order keeps the columns, the vertical-only order keeps
+    the rows.
+    """
+    rows_ok = b.p == a.p or (b.p < a.p and HORIZONTAL in kinds)
+    columns_ok = b.q == a.q or (b.q < a.q and VERTICAL in kinds)
+    if not (rows_ok and columns_ok):
+        return False
+    rows = _merge_blocks(a.rows, list(map(sum, b.rows)))
+    if rows is None:
+        return False
+    columns = list(zip(*b.rows))
+    return _merge_blocks(zip(*rows), list(map(sum, columns))) == columns
 
 
 def rescaled(rep, rng):

@@ -209,6 +209,27 @@ def test_caps_trip_before_the_work(argv, cap):
     assert cap in proc.stderr
 
 
+@pytest.mark.parametrize("argv, size", [
+    (("enumerate", "--n", "8"), "; |CM_8| = 9,132,865"),
+    (("poset", "--n", "8"), "; |CM_8| = 9,132,865"),
+    (("sphericity", "--n", "7"), "; |CM_7| = 546,193"),
+    (("poset", "--n", "40"), "; |CM_40| = 2,909,476,984,848,528,141,439,812,138,264,"
+     "624,418,403,985,202,081,629,743,404,225"),
+    (("enumerate", "--n", "41"), ""),
+    (("enumerate", "--n", "8", "--p", "2"), ""),
+    (("enumerate", "--alpha", "4,4"), ""),
+    (("enumerate", "--what", "partitions", "--n", "21"), ""),
+    (("f-vector", "--n", "8"), ""),
+])
+def test_capacity_errors_name_the_refused_census(monkeypatch, capsys, argv, size):
+    # a run over all of CM_n names |CM_n| when the meta-matrix can count it
+    monkeypatch.delenv("CONTINGENCY_MAX_N", raising=False)
+    assert cli.main(["--stable", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith("set CONTINGENCY_MAX_N to raise the limit" + size + "\n"), err
+    assert err.count("|CM_") == bool(size)
+
+
 @pytest.mark.parametrize("n", ["8", "40"])
 def test_total_positivity_guard_precedes_the_metamatrix(monkeypatch, capsys, n):
     def no_build(*args, **kwargs):

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from helpers import block_sum_leq
 
 from stochastihedron import contingency
 from stochastihedron.contingency import (
@@ -37,16 +39,24 @@ def all_contractions(m):
 
 
 def test_validation():
-    with pytest.raises(DomainError):
-        cm([[0, 0], [1, 1]])  # zero row
-    with pytest.raises(DomainError):
-        cm([[1, 0], [1, 0]])  # zero column
-    with pytest.raises(DomainError):
-        cm([[1, -1], [0, 1]])
-    with pytest.raises(DomainError):
-        cm([[1], [1, 2]])
-    with pytest.raises(DomainError):
-        cm([])
+    # each refusal of the checked constructor, with its message
+    cases = [
+        ([[1, 2.5]], "entries must be integers: "
+         "'float' object cannot be interpreted as an integer"),
+        ([], "matrix must have at least one row and column"),
+        ([[]], "matrix must have at least one row and column"),
+        ([[1], [1, 2]], "rows must all have the same length"),
+        ([[1, 2], []], "rows must all have the same length"),
+        ([[1, -1], [0, 1]], "entries must be nonnegative"),
+        ([[0, -1], [1, 1]], "entries must be nonnegative"),
+        ([[0, 0], [1, 1]], "zero row in ((0, 0), (1, 1))"),
+        ([[1, 0], [1, 0]], "zero column 1 in ((1, 0), (1, 0))"),
+        ([[0, 1, 0], [0, 1, 1]], "zero column 0 in ((0, 1, 0), (0, 1, 1))"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(DomainError) as caught:
+            cm(rows)
+        assert str(caught.value) == message, rows
 
 
 @pytest.mark.parametrize("entry", [1.5, 1.0, "x", "1", Fraction(1, 2), Fraction(1), None])
@@ -339,7 +349,7 @@ def _reachability_oracle(poset, kinds):
 
 def test_order_is_closure_of_both_single_kind_orders():
     # oracle: reachability along the recorded covers, independent of the
-    # block-sum rule that CmPoset.leq and lower_interval rely on
+    # cut masks that CmPoset.leq reads
     for n in range(1, 5):
         poset = build_poset(n)
         size = len(poset)
@@ -371,6 +381,95 @@ def test_order_is_closure_of_both_single_kind_orders():
                     }
 
 
+def _kind_walk(poset, rng, i, kinds):
+    """A random walk up the covers of these kinds (row merges come first
+    in ``up``), of random length."""
+    for _ in range(rng.randrange(2 * poset.n)):
+        m = poset.elements[i]
+        ups = poset.up[i]
+        ups = (ups[: m.p - 1] if HORIZONTAL in kinds else ()) + (
+            ups[m.p - 1 :] if VERTICAL in kinds else ()
+        )
+        if not ups:
+            break
+        i = rng.choice(ups)
+    return i
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_leq_matches_block_sum_rule(n):
+    # 100,000 seeded pairs: half uniform, half a random walk up the covers
+    # of one kind set, so that both answers occur for every kind set
+    poset = build_poset(n)
+    elements = poset.elements
+    rng = random.Random(f"leq-{n}")
+    kind_sets = ((HORIZONTAL,), (VERTICAL,), (HORIZONTAL, VERTICAL))
+    seen = set()
+    for _ in range(100_000):
+        i = rng.randrange(len(poset))
+        if rng.random() < 0.5:
+            j = rng.randrange(len(poset))
+        else:
+            j = _kind_walk(poset, rng, i, rng.choice(kind_sets))
+        if rng.random() < 0.25:
+            i, j = j, i
+        for kinds in kind_sets:
+            want = block_sum_leq(elements[i], elements[j], kinds)
+            assert poset.leq(i, j, kinds) == want, (kinds, elements[i], elements[j])
+            seen.add((kinds, want))
+    assert len(seen) == 6
+
+
+def _cut_bits(rows, n):
+    """The bits of a cut mask, straight from its definition."""
+    base = n + 1
+    bits = set()
+    for a in range(len(rows) + 1):
+        for b in range(len(rows[0]) + 1):
+            R = sum(map(sum, rows[:a]))
+            C = sum(sum(row[:b]) for row in rows)
+            S = sum(sum(row[:b]) for row in rows[:a])
+            bits.add((R * base + C) * base + S)
+    return bits
+
+
+def test_cut_mask_matches_its_definition():
+    assert contingency._cut_mask(((1, 0), (0, 1)), 2) == sum(
+        1 << k for k in (0, 3, 6, 9, 13, 16, 18, 22, 26)
+    )
+    for n in range(1, 5):
+        for m in enumerate_cm(n):
+            mask = contingency._cut_mask(m.rows, n)
+            assert mask == sum(1 << k for k in _cut_bits(m.rows, n)), m
+
+
+def test_cut_mask_is_injective():
+    for n in range(1, 7):
+        masks = {contingency._cut_mask(rows, n) for rows in contingency._cm_rows(n)}
+        assert len(masks) == count_cm(n)
+
+
+def test_order_is_read_off_the_rows_not_the_covers():
+    # check_sphericity's cover check is a check only if no mask is derived
+    # from a cover: scramble every cover record before the first query
+    poset = build_poset(4)
+    size = len(poset)
+    perm = list(range(size))
+    random.Random(4).shuffle(perm)
+    up, down = [None] * size, [None] * size
+    for i in range(size):
+        up[perm[i]] = tuple(perm[x] for x in poset.up[i])
+        down[perm[i]] = tuple(perm[x] for x in poset.down[i])
+    poset.up, poset.down = tuple(up), tuple(down)
+    poset.covers = tuple((perm[c], perm[p], k, pos) for c, p, k, pos in poset.covers)
+    elements = poset.elements
+    for kinds in ((HORIZONTAL,), (VERTICAL,), (HORIZONTAL, VERTICAL)):
+        for i in range(size):
+            for j in range(size):
+                want = block_sum_leq(elements[i], elements[j], kinds)
+                assert poset.leq(i, j, kinds) == want
+
+
 def test_leq_direction():
     poset = build_poset(2)
     fine = cm([[1, 0], [0, 1]])
@@ -380,8 +479,14 @@ def test_leq_direction():
     assert not poset.cm_leq_horizontal(fine, cm([[1], [1]]))
     assert poset.cm_leq_vertical(fine, cm([[1], [1]]))
     assert poset.cm_leq(fine, fine)
-    with pytest.raises(DomainError):
-        poset.cm_leq(cm([[3]]), cm([[2]]))
+    # raw row lists are accepted, and a non-member is named in the error
+    assert poset.cm_leq_horizontal([[1, 0], [0, 1]], ((1, 1),))
+    assert not poset.cm_leq_vertical([[2]], [[1], [1]])
+    missing = r"matrix \(\(3,\),\) is not an element of CM_2"
+    for query in (poset.cm_leq, poset.cm_leq_horizontal, poset.cm_leq_vertical):
+        for small, large in ((cm([[3]]), cm([[2]])), (cm([[2]]), [[3]])):
+            with pytest.raises(DomainError, match=missing):
+                query(small, large)
 
 
 def test_json_and_dot_exports():
