@@ -399,7 +399,8 @@ class CmPoset:
     ``up[i]`` and ``down[i]`` hold i's parent and child indices in that
     order.  The contracted matrix is the larger; ``leq`` decides the order by
     cut masks, each made from its element's rows on first use.  ``elements``
-    must be closed under contraction and under transposition, as CM_n is.
+    must be closed under contraction and under transposition, as CM_n is;
+    a set not closed under transposition is refused with a DomainError.
     """
 
     def __init__(self, n, elements):
@@ -412,7 +413,9 @@ class CmPoset:
         ]
         # merging columns i, i+1 of A is merging rows i, i+1 of A's
         # transpose, transposed back; up[t] begins with t's row merges
-        transpose = [index[tuple(zip(*m.rows))] for m in elements]
+        transpose = [index.get(tuple(zip(*m.rows))) for m in elements]
+        if None in transpose:
+            raise DomainError("elements must be closed under transposition")
         for child, t in enumerate(transpose):
             columns = up[t][: elements[child].q - 1]
             up[child] += tuple([transpose[x] for x in columns])
@@ -430,8 +433,6 @@ class CmPoset:
         self.covers = tuple(covers)
         self.up = tuple(up)
         self.down = tuple(map(tuple, down))
-        # made last: made before the covers, it raised the peak RSS of a
-        # build_poset(6) followed by order queries by about 1 MB
         self._masks = [None] * len(elements)
 
     def __len__(self):
@@ -484,12 +485,7 @@ class CmPoset:
     def _query(self, small, large, kinds):
         """``leq`` on two matrices or raw row lists; DomainError for a
         matrix that is not an element."""
-        index = self.index
-        try:
-            i, j = index[small.rows], index[large.rows]
-        except (AttributeError, KeyError):
-            i, j = self.element_index(small), self.element_index(large)
-        return self.leq(i, j, kinds)
+        return self.leq(self.element_index(small), self.element_index(large), kinds)
 
     def cm_leq(self, small, large):
         """The order generated by contractions of both kinds."""

@@ -280,6 +280,15 @@ def test_covers_are_the_single_contractions():
         }
 
 
+def test_poset_refuses_elements_not_closed_under_transposition():
+    # the column merges are read off the row merges of the transposes:
+    # {(1 1), (2)} is closed under contraction but lacks the transpose of (1 1)
+    with pytest.raises(DomainError, match="^elements must be closed under transposition$"):
+        contingency.CmPoset(2, [cm([[1, 1]]), cm([[2]])])
+    poset = contingency.CmPoset(2, [cm([[1, 1]]), cm([[1], [1]]), cm([[2]])])
+    assert poset.covers == ((0, 2, VERTICAL, 0), (1, 2, HORIZONTAL, 0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_up_and_down_are_the_covers_as_indices(n):
     # covers is the one record of kind and position; up and down hold the
