@@ -17,7 +17,7 @@ adjacent columns.  Canonical element order is lexicographic on
 
 import itertools
 import operator
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from math import factorial
 from operator import add, lshift
 
@@ -77,12 +77,6 @@ class ContingencyMatrix:
 
     def __repr__(self):
         return f"ContingencyMatrix({[list(r) for r in self.rows]})"
-
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
-    def transpose(self):
-        return ContingencyMatrix(tuple(zip(*self.rows)), check=False)
 
     def to_json(self):
         return {"rows": [list(r) for r in self.rows]}
@@ -393,14 +387,15 @@ def _cut_mask(rows, n):
 class CmPoset:
     """CM_n with its covers (single contractions) and the contraction order.
 
-    ``covers``, the one record of kind and position, lists (child, parent,
-    kind, position) with parent = contract(child, kind, position), children
-    in element order, then horizontal before vertical, then by position;
-    ``up[i]`` and ``down[i]`` hold i's parent and child indices in that
-    order.  The contracted matrix is the larger; ``leq`` decides the order by
-    cut masks, each made from its element's rows on first use.  ``elements``
-    must be closed under contraction and under transposition, as CM_n is;
-    a set not closed under transposition is refused with a DomainError.
+    ``up[i]``, the one record of the covers, holds the indices of i's
+    parents: first contract(i, "horizontal", pos) for pos = 0, 1, ..., then
+    contract(i, "vertical", pos), so a parent's place in ``up[i]`` gives the
+    kind and position of its cover.  ``down[i]`` holds i's children in
+    element order.  ``covers`` lists the same covers as 4-tuples.  The
+    contracted matrix is the larger; ``leq`` decides the order by cut masks,
+    each made from its element's rows on first use.  ``elements`` must be
+    closed under contraction and under transposition, as CM_n is; a set not
+    closed under transposition is refused with a DomainError.
     """
 
     def __init__(self, n, elements):
@@ -419,21 +414,27 @@ class CmPoset:
         for child, t in enumerate(transpose):
             columns = up[t][: elements[child].q - 1]
             up[child] += tuple([transpose[x] for x in columns])
-        covers = []
-        add_cover = covers.append
         down = [[] for _ in elements]
         for child, parents in enumerate(up):
-            rows_up = elements[child].p - 1
-            for pos, parent in enumerate(parents[:rows_up]):
-                add_cover((child, parent, HORIZONTAL, pos))
+            for parent in parents:
                 down[parent].append(child)
-            for pos, parent in enumerate(parents[rows_up:]):
-                add_cover((child, parent, VERTICAL, pos))
-                down[parent].append(child)
-        self.covers = tuple(covers)
         self.up = tuple(up)
         self.down = tuple(map(tuple, down))
         self._masks = [None] * len(elements)
+
+    @property
+    def covers(self):
+        """Every cover as (child, parent, kind, position), with parent =
+        contract(child, kind, position): children in element order, then
+        horizontal before vertical, then by position.  Each access builds
+        the tuple afresh from ``up``; a reader that needs only pairs or one
+        kind walks ``up`` itself."""
+        covers = []
+        for child, (m, parents) in enumerate(zip(self.elements, self.up)):
+            rows_up = m.p - 1
+            covers += zip(repeat(child), parents[:rows_up], repeat(HORIZONTAL), count())
+            covers += zip(repeat(child), parents[rows_up:], repeat(VERTICAL), count())
+        return tuple(covers)
 
     def __len__(self):
         return len(self.elements)
@@ -499,16 +500,20 @@ class CmPoset:
 
     def anodyne_covers(self, kinds=KINDS):
         """The covers of these kinds whose two merged slices have disjoint
-        supports (``is_anodyne``), in cover order."""
-        return [
-            (child, parent, kind, pos)
-            for child, parent, kind, pos in self.covers
-            if kind in kinds and is_anodyne(self.elements[child], kind, pos)
-        ]
-
-    def maximum(self):
-        """Index of the 1x1 matrix (n)."""
-        return self.element_index(ContingencyMatrix(((self.n,),), check=False))
+        supports (``is_anodyne``), as ``covers`` lists them, in its order."""
+        found = []
+        for child, (m, parents) in enumerate(zip(self.elements, self.up)):
+            rows_up = m.p - 1
+            # (kind, place of its first parent in up[child], its merges)
+            for kind, first, merges in (
+                (HORIZONTAL, 0, rows_up),
+                (VERTICAL, rows_up, m.q - 1),
+            ):
+                if kind in kinds:
+                    for pos in range(merges):
+                        if is_anodyne(m, kind, pos):
+                            found.append((child, parents[first + pos], kind, pos))
+        return found
 
 
 def build_poset(n):

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the integers and rationals.
 
 Everything here is sign-exact: determinants use fraction-free Bareiss
-elimination over the integers or the rationals, and Smith normal form
+elimination over the integers, and Smith normal form
 works over arbitrary-precision integers with pivoting on the smallest
 nonzero entry to keep coefficients from exploding.
 """
@@ -70,11 +70,8 @@ def is_upper_triangular(a):
 
 
 def determinant(rows):
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Works over the integers (divisions are exact by construction) and,
-    entrywise unchanged, over Fractions.
-    """
+    """Exact determinant of an integer matrix by fraction-free Bareiss
+    elimination; every division is exact by construction."""
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise DomainError("determinant needs a nonempty square matrix")
@@ -89,15 +86,11 @@ def determinant(rows):
                     sign = -sign
                     break
             else:
-                return 0 * m[0][0]
+                return 0
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                if isinstance(num, int) and isinstance(prev, int):
-                    m[i][j] = num // prev
-                else:
-                    m[i][j] = num / prev
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]

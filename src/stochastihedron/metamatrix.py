@@ -20,6 +20,7 @@ M(n) is totally positive: every minor of every size is strictly positive.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -198,10 +199,9 @@ VANDERMONDE = "vandermonde"
 BINOMIAL = "binomial"
 STIRLING_SECOND = "stirling_second"
 STIRLING_SCALED = "stirling_scaled"
-DIAGONAL = "diagonal"
 
 
-def structured_matrix(kind, n, diag_entries=None):
+def structured_matrix(kind, n):
     """The named n x n matrix as a list of rows, 1-based indices p, i, k
     in [1, n]:
 
@@ -211,7 +211,6 @@ def structured_matrix(kind, n, diag_entries=None):
     binomial        B_pq   = C(n + pq - 1, n)   (needs the weight n)
     stirling_second S_pk   = S(k, p)            (unipotent upper triangular)
     stirling_scaled S*_pk  = p! S(k, p) / k!    (rational entries)
-    diagonal        given entries
     """
     r = range(1, n + 1)
     if kind == PASCAL:
@@ -230,10 +229,6 @@ def structured_matrix(kind, n, diag_entries=None):
             [Fraction(factorial(p) * stirling_second(k, p), factorial(k)) for k in r]
             for p in r
         ]
-    elif kind == DIAGONAL:
-        if diag_entries is None or len(diag_entries) != n:
-            raise DomainError("diagonal kind needs exactly n entries")
-        rows = diagonal(list(diag_entries))
     else:
         raise DomainError(f"unknown structured matrix kind {kind!r}")
     return rows
@@ -358,12 +353,16 @@ def guard_positivity_scan(n):
 def total_positivity(matrix):
     """Scan every minor of every size; strict positivity of all of them.
 
-    Accepts a MetaMatrix or a plain square grid.  Returns (is_tp, witness)
+    Accepts a MetaMatrix or a plain square grid of integers; a float,
+    string or Fraction entry raises DomainError.  Returns (is_tp, witness)
     where witness names the first nonpositive minor in scan order
     (size ascending, then row set, then column set; 1-based indices).
     """
     grid = matrix.entries if isinstance(matrix, MetaMatrix) else matrix
-    grid = [list(r) for r in grid]
+    try:
+        grid = [list(map(operator.index, r)) for r in grid]
+    except TypeError as exc:
+        raise DomainError(f"entries must be integers: {exc}") from exc
     n = len(grid)
     if n == 0 or any(len(r) != n for r in grid):
         raise DomainError("total positivity test needs a square matrix")

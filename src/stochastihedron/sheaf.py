@@ -110,7 +110,6 @@ class PosetRepresentation:
                 raise StructuralError(f"space index {i} out of range")
             dims[i] = _json_int(value, f"dimension of space {i}")
             guard(dims[i], SHEAF_DIM_CAP, f"dimension of space {i}")
-        covers = {(child, parent) for child, parent, _, _ in poset.covers}
         items = data.get("maps", [])
         if not isinstance(items, list):
             raise StructuralError('"maps" must be a list')
@@ -119,29 +118,33 @@ class PosetRepresentation:
         for item in items:
             if not isinstance(item, dict) or {"from", "to", "matrix"} - item.keys():
                 raise StructuralError('every map needs "from", "to" and "matrix"')
-            pair = _json_int(item["from"], '"from"'), _json_int(item["to"], '"to"')
-            if pair not in covers:
-                raise StructuralError(f"map {pair[0]} -> {pair[1]} is not on a cover")
+            child = _json_int(item["from"], '"from"')
+            parent = _json_int(item["to"], '"to"')
+            pair = child, parent
+            # the range check first: a negative child would index from the end
+            if not 0 <= child < len(poset) or parent not in poset.up[child]:
+                raise StructuralError(f"map {child} -> {parent} is not on a cover")
             if pair in maps:
-                raise StructuralError(f"duplicate map for cover {pair[0]} -> {pair[1]}")
+                raise StructuralError(f"duplicate map for cover {child} -> {parent}")
             matrix = item["matrix"]
             if not isinstance(matrix, list) or not all(
                 isinstance(row, list) for row in matrix
             ):
                 raise StructuralError(
-                    f"matrix for map {pair[0]} -> {pair[1]} must be a list of lists"
+                    f"matrix for map {child} -> {parent} must be a list of lists"
                 )
             try:
                 maps[pair] = [[_parse(x, parsed) for x in row] for row in matrix]
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise StructuralError(f"bad matrix for map {pair}: {exc}") from exc
         # implicit empty matrices wherever one endpoint is 0-dimensional
-        for child, parent, _, _ in poset.covers:
-            if (child, parent) not in maps:
-                if dims[child] == 0 or dims[parent] == 0:
-                    maps[(child, parent)] = [[] for _ in range(dims[parent])]
-                else:
+        for child, parents in enumerate(poset.up):
+            for parent in parents:
+                if (child, parent) in maps:
+                    continue
+                if dims[child] and dims[parent]:
                     raise StructuralError(f"missing map for cover {child} -> {parent}")
+                maps[(child, parent)] = [[] for _ in range(dims[parent])]
         return cls(poset, dims, maps)
 
 
@@ -192,7 +195,7 @@ def constant_sheaf(n, dim):
     guard(dim, SHEAF_DIM_CAP, "constant sheaf dimension")
     poset = build_poset(n)
     eye = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    maps = {(child, parent): eye for child, parent, _, _ in poset.covers}
+    maps = {(c, p): eye for c, parents in enumerate(poset.up) for p in parents}
     return PosetRepresentation(poset, [dim] * len(poset), maps)
 
 
@@ -201,8 +204,9 @@ def skyscraper(poset, at_index, dim=1):
     dims = [0] * len(poset)
     dims[at_index] = dim
     maps = {}
-    for child, parent, _, _ in poset.covers:
-        maps[(child, parent)] = [[0] * dims[child] for _ in range(dims[parent])]
+    for child, parents in enumerate(poset.up):
+        for parent in parents:
+            maps[(child, parent)] = [[0] * dims[child] for _ in range(dims[parent])]
     return PosetRepresentation(poset, dims, maps)
 
 
@@ -236,16 +240,12 @@ def validate(rep):
     poset = rep.poset
     dims = rep.dims
     shape_failures = []
-    for child, parent, _, _ in poset.covers:
-        rows, _ = rep._stored(child, parent)
-        if len(rows) != dims[parent] or any(len(row) != dims[child] for row in rows):
-            shape_failures.append(
-                {
-                    "from": child,
-                    "to": parent,
-                    "want": [dims[parent], dims[child]],
-                }
-            )
+    for child, parents in enumerate(poset.up):
+        for parent in parents:
+            rows, _ = rep._stored(child, parent)
+            if len(rows) != dims[parent] or any(len(r) != dims[child] for r in rows):
+                want = [dims[parent], dims[child]]
+                shape_failures.append({"from": child, "to": parent, "want": want})
     if shape_failures:
         raise StructuralError(f"cover maps with wrong shapes: {shape_failures}")
 

@@ -170,9 +170,6 @@ class SimplicialComplex:
                         if s[:k] + s[k + 1 :] not in seen[d - 1]:
                             raise DomainError(f"face of {s} is missing")
 
-    def f_vector(self):
-        return {d: len(level) for d, level in enumerate(self.simplices)}
-
 
 def order_complex(poset):
     """The complex of chains of a finite poset: r-simplices are chains of

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -152,6 +153,30 @@ def test_poset_exports():
     code, report = run_json("--stable", "poset", "--n", "2", "--format", "dot")
     assert code == 0
     assert report["details"]["dot"].startswith("digraph")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("poset", "--n", "4"),
+            "a51153fabaca3b87f1d9d9bfe680ecc1c12ea6a92a293641cb8c4a0c182c7089",
+        ),
+        (
+            ("poset", "--n", "4", "--format", "dot"),
+            "6f26aa12fb3e9ccee4e8a9ae112cbf373182146abcd005cabe2d2c860f47efd1",
+        ),
+        (
+            ("anodyne-classes", "--n", "5", "--full"),
+            "3f4fd9b0da732a4519f6e2311627d05e6eaeb2d8912ed4f0c3b7c2169904a478",
+        ),
+    ],
+)
+def test_stable_report_bytes_are_pinned(argv, digest):
+    # the covers' order, kinds and positions reach these bytes
+    proc = run_cli("--stable", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_verify_identities():
@@ -446,6 +471,18 @@ def _first_map(rep):
             lambda r: r["maps"].append({"from": 0, "to": 4, "matrix": [["1"]]}),
             "is not on a cover",
             id="not-a-cover",
+        ),
+        # CM_2 has 5 elements, and 1 is a parent of the last one: without a
+        # range check, -1 would index up[] from the end and pass
+        pytest.param(
+            lambda r: r["maps"].append({"from": -1, "to": 1, "matrix": [["1"]]}),
+            "is not on a cover",
+            id="from-negative",
+        ),
+        pytest.param(
+            lambda r: r["maps"].append({"from": 5, "to": 1, "matrix": [["1"]]}),
+            "is not on a cover",
+            id="from-past-the-end",
         ),
         pytest.param(
             lambda r: r["maps"].append(dict(_first_map(r))),

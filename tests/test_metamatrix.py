@@ -225,6 +225,14 @@ def test_total_positivity_guards():
         total_positivity([[1] * 8] * 8)
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 0.5, 2.0, "2"])
+def test_total_positivity_refuses_non_integer_entries(entry):
+    # the minors are integer Bareiss determinants: a Fraction would be
+    # floor-divided, so any non-integer entry is refused up front
+    with pytest.raises(DomainError, match="^entries must be integers"):
+        total_positivity([[entry, 1], [1, 1]])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_metamatrix_is_totally_positive(n):
     ok, witness = total_positivity(metamatrix(n))

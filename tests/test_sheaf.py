@@ -116,7 +116,7 @@ def test_zero_map_counterexample(poset2):
 def test_skyscraper_at_top_is_complex_constructible():
     for n in (2, 3):
         poset = build_poset(n)
-        rep = skyscraper(poset, poset.maximum())
+        rep = skyscraper(poset, 0)  # the 1x1 matrix (n) comes first
         assert validate(rep)["pass"]
         for strat in ("cont", "fnf", "ifnf", "complex"):
             assert is_constructible(rep, strat) == (True, None)
@@ -190,9 +190,7 @@ def test_broken_rep_fails_both_validators(poset2):
     maps[(child, parent)] = [[Fraction(-1)]]
     broken = PosetRepresentation(poset2, [1] * 5, maps)
     assert not validate(broken)["pass"]
-    composites = set(
-        saturated_chain_composites(broken, child, poset2.maximum())
-    )
+    composites = set(saturated_chain_composites(broken, child, 0))  # 0 is (2)
     assert len(composites) > 1
 
 

@@ -116,9 +116,10 @@ def test_ifnf_label_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_labels_match_the_compress_route(n):
     for m in enumerate_cm(n):
-        for label, matrix in ((fnf_label(m), m), (ifnf_label(m), m.transpose())):
-            beta = OrderedPartition(tuple(sum(col) for col in zip(*matrix.rows)))
-            gamma = tuple(compress(matrix.column(j)) for j in range(matrix.q))
+        transpose = tuple(zip(*m.rows))
+        for label, rows in ((fnf_label(m), m.rows), (ifnf_label(m), transpose)):
+            beta = OrderedPartition(tuple(sum(col) for col in zip(*rows)))
+            gamma = tuple(compress(col) for col in zip(*rows))
             assert label == FnfLabel(beta, gamma)
 
 

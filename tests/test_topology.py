@@ -53,7 +53,7 @@ def test_four_cycle():
 
 def test_solid_triangle():
     K = complex_from_simplices(3, [(0, 1, 2)])
-    assert sum(K.f_vector().values()) == 7
+    assert sum(map(len, K.simplices)) == 7
     assert homology(K) == HomologyProfile.make({}, {})
 
 
@@ -212,7 +212,7 @@ def test_disjoint_copies_are_swept_without_snf(monkeypatch):
 
     monkeypatch.setattr(topology, "smith_normal_form", no_snf)
     poset = build_poset(3)
-    K = order_complex(lower_interval(poset, poset.maximum(), strict=True))
+    K = order_complex(lower_interval(poset, 0, strict=True))
     nv = len(K.vertices)
     levels = [level + tuple(tuple(v + nv for v in s) for s in level)
               for level in K.simplices]
@@ -226,14 +226,14 @@ def test_disjoint_copies_are_swept_without_snf(monkeypatch):
 def test_chain_gives_full_simplex():
     P = FinitePoset("abc", (0b110, 0b100, 0))
     K = order_complex(P)
-    assert sum(K.f_vector().values()) == 7
+    assert sum(map(len, K.simplices)) == 7
     assert homology(K) == HomologyProfile.make({}, {})
 
 
 def test_antichain_gives_isolated_vertices():
     P = FinitePoset(("a", "b", "c"), (0, 0, 0))
     K = order_complex(P)
-    assert K.f_vector() == {0: 3}
+    assert list(map(len, K.simplices)) == [3]
     assert homology(K) == profile({0: 2})
 
 
@@ -242,7 +242,7 @@ def test_cm2_interval_is_a_square_cycle():
     fp = lower_interval(poset, ContingencyMatrix([[2]]), strict=True)
     assert len(fp) == 4
     K = order_complex(fp)
-    assert K.f_vector() == {0: 4, 1: 4}
+    assert list(map(len, K.simplices)) == [4, 4]
     assert homology(K) == HomologyProfile.sphere(1)
 
 
@@ -438,7 +438,7 @@ def test_closed_form_signs_square_to_zero():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_full_poset_is_acyclic(n):
     poset = build_poset(n)
-    K = order_complex(lower_interval(poset, poset.maximum(), strict=False))
+    K = order_complex(lower_interval(poset, 0, strict=False))
     assert homology(K) == HomologyProfile.make({}, {})
 
 
