@@ -17,7 +17,7 @@ adjacent columns.  Canonical element order is lexicographic on
 
 import itertools
 import operator
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from math import factorial
 from operator import add, lshift
 
@@ -390,12 +390,13 @@ class CmPoset:
     ``up[i]``, the one record of the covers, holds the indices of i's
     parents: first contract(i, "horizontal", pos) for pos = 0, 1, ..., then
     contract(i, "vertical", pos), so a parent's place in ``up[i]`` gives the
-    kind and position of its cover.  ``down[i]`` holds i's children in
-    element order.  ``covers`` lists the same covers as 4-tuples.  The
-    contracted matrix is the larger; ``leq`` decides the order by cut masks,
-    each made from its element's rows on first use.  ``elements`` must be
-    closed under contraction and under transposition, as CM_n is; a set not
-    closed under transposition is refused with a DomainError.
+    kind and position of its cover; ``_walk`` alone reads that layout, and
+    ``covers``, ``anodyne_covers`` and the exports read ``_walk``.
+    ``down[i]`` holds i's children in element order.  The contracted
+    matrix is the larger; ``leq`` decides the order by cut masks, each made
+    from its element's rows on first use.  ``elements`` must be closed
+    under contraction and under transposition, as CM_n is; a set not closed
+    under transposition is refused with a DomainError.
     """
 
     def __init__(self, n, elements):
@@ -422,18 +423,27 @@ class CmPoset:
         self.down = tuple(map(tuple, down))
         self._masks = [None] * len(elements)
 
+    def _walk(self, kinds=KINDS):
+        """For each element, and each of these kinds with horizontal first,
+        the zip of that kind's covers as (child, parent, kind, position),
+        read off the element's slice of ``up``."""
+        horizontal, vertical = HORIZONTAL in kinds, VERTICAL in kinds
+        for child, (m, parents) in enumerate(zip(self.elements, self.up)):
+            rows_up = m.p - 1
+            if horizontal:
+                yield zip(repeat(child), parents[:rows_up], repeat(HORIZONTAL), count())
+            if vertical:
+                yield zip(repeat(child), parents[rows_up:], repeat(VERTICAL), count())
+
     @property
     def covers(self):
         """Every cover as (child, parent, kind, position), with parent =
         contract(child, kind, position): children in element order, then
         horizontal before vertical, then by position.  Each access builds
-        the tuple afresh from ``up``; a reader that needs only pairs or one
-        kind walks ``up`` itself."""
+        the tuple afresh from ``up``."""
         covers = []
-        for child, (m, parents) in enumerate(zip(self.elements, self.up)):
-            rows_up = m.p - 1
-            covers += zip(repeat(child), parents[:rows_up], repeat(HORIZONTAL), count())
-            covers += zip(repeat(child), parents[rows_up:], repeat(VERTICAL), count())
+        for slots in self._walk():
+            covers += slots
         return tuple(covers)
 
     def __len__(self):
@@ -499,20 +509,17 @@ class CmPoset:
         return self._query(small, large, (VERTICAL,))
 
     def anodyne_covers(self, kinds=KINDS):
-        """The covers of these kinds whose two merged slices have disjoint
-        supports (``is_anodyne``), as ``covers`` lists them, in its order."""
+        """The anodyne covers of these kinds, as ``covers`` lists them, in
+        its order.  A merge only adds entries, so a cover is anodyne
+        (``is_anodyne``: the merged slices have disjoint supports) exactly
+        when the parent has as many nonzero entries, points, as the child.
+        """
+        points = [sum(map(bool, chain.from_iterable(m.rows))) for m in self.elements]
         found = []
-        for child, (m, parents) in enumerate(zip(self.elements, self.up)):
-            rows_up = m.p - 1
-            # (kind, place of its first parent in up[child], its merges)
-            for kind, first, merges in (
-                (HORIZONTAL, 0, rows_up),
-                (VERTICAL, rows_up, m.q - 1),
-            ):
-                if kind in kinds:
-                    for pos in range(merges):
-                        if is_anodyne(m, kind, pos):
-                            found.append((child, parents[first + pos], kind, pos))
+        for slots in self._walk(kinds):
+            for cover in slots:
+                if points[cover[1]] == points[cover[0]]:
+                    found.append(cover)
         return found
 
 
@@ -528,7 +535,7 @@ def poset_to_json(poset):
         "elements": [m.to_json() for m in poset.elements],
         "covers": [
             {"from": child, "to": parent, "kind": kind, "pos": pos}
-            for child, parent, kind, pos in poset.covers
+            for child, parent, kind, pos in chain.from_iterable(poset._walk())
         ],
     }
 
@@ -539,7 +546,7 @@ def poset_to_dot(poset):
     for i, m in enumerate(poset.elements):
         label = "|".join(" ".join(str(x) for x in row) for row in m.rows)
         lines.append(f'  e{i} [label="{label}"];')
-    for child, parent, kind, pos in poset.covers:
+    for child, parent, kind, pos in chain.from_iterable(poset._walk()):
         lines.append(f'  e{child} -> e{parent} [label="{kind[0]}{pos}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -96,13 +96,12 @@ class PosetRepresentation:
         }
 
     @classmethod
-    def from_json(cls, data, poset=None):
+    def from_json(cls, data):
         if not isinstance(data, dict) or "n" not in data or not isinstance(
             data.get("spaces"), dict
         ):
             raise StructuralError('representation JSON needs "n" and a "spaces" object')
-        if poset is None:
-            poset = build_poset(_json_int(data["n"], '"n"'))
+        poset = build_poset(_json_int(data["n"], '"n"'))
         dims = [0] * len(poset)
         for key, value in data["spaces"].items():
             i = _json_int(key, "space key")
@@ -199,10 +198,11 @@ def constant_sheaf(n, dim):
     return PosetRepresentation(poset, [dim] * len(poset), maps)
 
 
-def skyscraper(poset, at_index, dim=1):
-    """dim at one element, zero elsewhere; empty matrices everywhere."""
+def skyscraper(poset, at_index):
+    """Dimension one at one element, zero elsewhere; empty matrices
+    everywhere."""
     dims = [0] * len(poset)
-    dims[at_index] = dim
+    dims[at_index] = 1
     maps = {}
     for child, parents in enumerate(poset.up):
         for parent in parents:

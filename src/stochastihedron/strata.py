@@ -56,10 +56,6 @@ class PointConfiguration:
             raise DomainError("a configuration needs at least one point")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def size(self):
-        return len(self.points)
-
     def to_json(self):
         return {
             "points": [

@@ -384,15 +384,17 @@ def check_sphericity(poset, progress=None):
     acyclic for any poset; instead of computing its homology, each cell
     checks that M lies above every member of P<M: every cover on the walk
     down from M holds by the cut masks of ``CmPoset.leq``, and the order
-    is transitive.  This also cross-checks the covers the walk follows.
+    is transitive.  The walk down from M is M's covers followed by the
+    walks down from its facets, so a cell passes this check when each of
+    its facets lies below it and passed it.  This also cross-checks the
+    covers the walk follows.
     """
     rank = [poset.rank(i) for i in range(len(poset))]
     order = sorted(range(len(poset)), key=rank.__getitem__)
     signs, faults = _incidence_signs(poset)
-    cover_ok = [all(poset.leq(x, y) for x in xs) for y, xs in enumerate(poset.down)]
     results = [None] * len(poset)
     for done, i in enumerate(order, 1):
-        results[i] = _check_cell(poset, rank, signs, faults, cover_ok, results, i)
+        results[i] = _check_cell(poset, rank, signs, faults, results, i)
         if progress is not None:
             progress(done, len(order))
     violations = [r for r in results if not r["pass"]]
@@ -477,11 +479,13 @@ def _cellular_chains(down, rank, signs, members):
     return dims, faces, cell_signs
 
 
-def _check_cell(poset, rank, signs, faults, cover_ok, results, i):
+def _check_cell(poset, rank, signs, faults, results, i):
     """The report of cell i; ``results`` holds the reports of its facets."""
     d_exp = rank[i] - 1
     members = _below(poset.down, i)
-    acyclic_ok = cover_ok[i] and all(cover_ok[g] for g in members)
+    acyclic_ok = all(
+        poset.leq(x, i) and results[x]["closed_acyclic"] for x in poset.down[i]
+    )
     cell = {
         "element": poset.elements[i].to_json(),
         "expected_sphere_dim": d_exp,

@@ -170,6 +170,22 @@ def test_poset_exports():
             ("anodyne-classes", "--n", "5", "--full"),
             "3f4fd9b0da732a4519f6e2311627d05e6eaeb2d8912ed4f0c3b7c2169904a478",
         ),
+        (
+            ("anodyne-classes", "--n", "5", "--kind", "horizontal", "--full"),
+            "32171858c7e2e8404eb1ccad430315a57d931de61a2f3ee705c2644415199489",
+        ),
+        (
+            ("anodyne-classes", "--n", "5", "--kind", "vertical", "--full"),
+            "1e8dcc6217745554b7ba80838257dac41686ede78a229349053b566d4705cab4",
+        ),
+        (
+            ("meet-join", "--n", "5"),
+            "9c7f733424e9963ecca25214cbcb86962bb4529829e791726ea666d0c2e2380d",
+        ),
+        (
+            ("sphericity", "--n", "4", "--full"),
+            "5483c17eee6be83bbcb7bbe0ac817936ae3d15c781fab239b83d3e8f476527c1",
+        ),
     ],
 )
 def test_stable_report_bytes_are_pinned(argv, digest):
@@ -184,6 +200,15 @@ def test_verify_identities():
     assert code == 0
     assert report["details"]["total"] == 281
     assert all(report["details"]["identities"].values())
+
+
+def test_generalized_counts_survive_the_enumeration_cap():
+    # the generalized-count identity needs no enumeration of CM_n
+    code, report = run_json("--stable", "verify-identities", "--n", "8")
+    assert code == 0
+    details = report["details"]
+    assert details["enumeration_checks"] == "skipped (capacity)"
+    assert details["identities"]["generalized_count_identity"] is True
 
 
 def test_total_positivity_command():

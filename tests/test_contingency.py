@@ -315,11 +315,18 @@ def test_anodyne_covers_keep_the_nonzero_entries():
     for n in range(1, 6):
         poset = build_poset(n)
         nonzero = [sorted(filter(None, sum(m.rows, ()))) for m in poset.elements]
-        for kinds in ((HORIZONTAL,), (VERTICAL,), (HORIZONTAL, VERTICAL)):
-            assert poset.anodyne_covers(kinds) == [
+        for kinds in ((), (HORIZONTAL,), (VERTICAL,), KINDS, (VERTICAL, HORIZONTAL)):
+            found = poset.anodyne_covers(kinds)
+            assert found == [
                 (child, parent, kind, pos)
                 for child, parent, kind, pos in poset.covers
                 if kind in kinds and nonzero[child] == nonzero[parent]
+            ]
+            # the one-contraction predicate as a second oracle
+            assert found == [
+                (child, parent, kind, pos)
+                for child, parent, kind, pos in poset.covers
+                if kind in kinds and is_anodyne(poset.elements[child], kind, pos)
             ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from helpers import complex_from_simplices
 
 from stochastihedron import topology
-from stochastihedron.contingency import ContingencyMatrix, build_poset, count_cm
+from stochastihedron.contingency import KINDS, ContingencyMatrix, build_poset, count_cm
 from stochastihedron.errors import CapacityError, DomainError
 from stochastihedron.exactlinalg import determinant, smith_normal_form
 from stochastihedron.topology import (
@@ -406,6 +406,26 @@ def test_third_middle_element_is_a_violation():
     )
     # the walk from y now reaches a cell that is not below it
     assert _violations(report)[((2, 0), (0, 1))]["closed_acyclic"] is False
+
+
+def test_refused_cover_spoils_closed_acyclic_above_it(monkeypatch):
+    # closed_acyclic holds on a cell when M lies above all of P<M, so one
+    # cover that leq refuses spoils its cell and every cell above, not one
+    # cell alone
+    poset = build_poset(3)
+    y = _element(poset, [[1, 1], [1, 0]])
+    x = poset.down[y][0]
+    above = _above(poset, y)
+    leq = type(poset).leq
+
+    def refuse_one(self, i, j, kinds=KINDS):
+        return (i, j) != (x, y) and leq(self, i, j, kinds)
+
+    monkeypatch.setattr(type(poset), "leq", refuse_one)
+    report = check_sphericity(poset)
+    spoiled = {m for m, row in enumerate(report["cells"]) if not row["closed_acyclic"]}
+    assert len(above) == 3
+    assert spoiled == above | {y}
 
 
 def test_disconnected_facet_graph_is_a_violation():
