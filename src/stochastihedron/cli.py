@@ -29,7 +29,6 @@ from .metamatrix import (
     total_count,
     total_positivity,
     verify_factorizations,
-    verify_generalized_counts,
 )
 from .partitions import enumerate_ordered_partitions
 
@@ -165,7 +164,6 @@ def _cmd_verify_identities(args):
     det_ok = det.integral and det.equal is not False
     checks = dict(facts["identities"])
     checks["determinant_closed_form"] = det_ok
-    checks["generalized_count_identity"] = verify_generalized_counts(n)["pass"]
     details = {
         "claim": "meta-matrix-identities",
         "n": n,

@@ -509,18 +509,17 @@ class CmPoset:
         return self._query(small, large, (VERTICAL,))
 
     def anodyne_covers(self, kinds=KINDS):
-        """The anodyne covers of these kinds, as ``covers`` lists them, in
-        its order.  A merge only adds entries, so a cover is anodyne
-        (``is_anodyne``: the merged slices have disjoint supports) exactly
-        when the parent has as many nonzero entries, points, as the child.
+        """Yield the anodyne covers of these kinds in ``covers`` order, as
+        the walk reaches them; nothing lists them.  A merge only adds
+        entries, so a cover is anodyne (``is_anodyne``: the merged slices
+        have disjoint supports) exactly when the parent has as many nonzero
+        entries, points, as the child.
         """
         points = [sum(map(bool, chain.from_iterable(m.rows))) for m in self.elements]
-        found = []
         for slots in self._walk(kinds):
             for cover in slots:
                 if points[cover[1]] == points[cover[0]]:
-                    found.append(cover)
-        return found
+                    yield cover
 
 
 def build_poset(n):

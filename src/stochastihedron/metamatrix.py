@@ -291,23 +291,6 @@ def verify_factorizations(n):
     }
 
 
-def verify_generalized_counts(n):
-    """Check, for all 1 <= p, q <= n, that the binomial count of generalized
-    matrices equals the binomial-weighted sum of exact counts."""
-    M = metamatrix(n)
-    failures = []
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            lhs = sum(
-                comb(p, i) * comb(q, j) * M.entry(i, j)
-                for i in range(1, p + 1)
-                for j in range(1, q + 1)
-            )
-            if lhs != generalized_count(n, p, q):
-                failures.append((p, q))
-    return {"n": n, "failures": failures, "pass": not failures}
-
-
 @dataclass(frozen=True)
 class DetReport:
     n: int

@@ -287,7 +287,8 @@ def _is_isomorphism(rows, dim_to, dim_from):
 def is_constructible(rep, strat):
     """Whether a validated representation is constructible for the given
     stratification; returns (ok, witness), the witness naming the first
-    anodyne cover whose map fails to be invertible."""
+    anodyne cover whose map fails to be invertible.  The walk over the
+    anodyne covers stops at that witness."""
     if strat not in STRATIFICATIONS:
         raise DomainError(f"stratification must be one of {tuple(STRATIFICATIONS)}")
     if not rep.validated:

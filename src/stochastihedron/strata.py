@@ -324,8 +324,11 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
     both kinds -> multiplicity partitions, horizontal only -> FNF labels,
     vertical only -> dual FNF labels.
 
-    ``poset`` is ``build_poset(n)``, built here when not given.  Classes
-    are reported as tuples of canonical element indices.
+    ``poset`` is ``build_poset(n)``, built here when not given.  Each
+    anodyne cover is unioned as ``poset.anodyne_covers`` yields it.
+    Classes are reported as tuples of canonical element indices, ordered
+    by their least element; the fibers are collected the same way, in
+    element order, so the two lists compare as they stand.
     """
     guard(n, ANODYNE_CAP, "anodyne equivalence classes")
     kinds = tuple(sorted(set(kinds)))
@@ -345,20 +348,19 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
     classes = {}
     for i in range(len(elements)):
         classes.setdefault(uf.find(i), []).append(i)
-    class_list = [tuple(v) for _, v in sorted(classes.items())]
+    class_list = [tuple(v) for v in classes.values()]
 
     fibers = {}
     for i, m in enumerate(elements):
         fibers.setdefault(fiber_key(m.rows), []).append(i)
-    fiber_list = sorted(tuple(v) for v in fibers.values())
-    matches = sorted(class_list) == fiber_list
+    matches = class_list == [tuple(v) for v in fibers.values()]
     return {
         "n": n,
         "kinds": list(kinds),
         "classes": class_list,
         "class_count": len(class_list),
         "fiber_label": fiber_name,
-        "fiber_count": len(fiber_list),
+        "fiber_count": len(fibers),
         "classes_match_fibers": matches,
         "pass": matches,
     }

@@ -62,6 +62,7 @@ from . import contingency
 from .errors import DomainError
 from .exactlinalg import smith_normal_form
 from .limits import SPHERICITY_CAP, guard
+from .metamatrix import metamatrix
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +510,12 @@ def _check_cell(poset, rank, signs, faults, results, i):
 
 def f_vector(n):
     """Cell census of the weight-n stochastihedron: how many matrices sit
-    in each cell dimension 2n-(p+q)."""
-    counts = contingency.count_cm_by_size(n)
+    in each cell dimension 2n-(p+q), summed off M(n) by inclusion-exclusion
+    along the anti-diagonals p + q = 2n - d."""
+    entries = metamatrix(n).entries
     out = {}
-    for (p, q), c in counts.items():
-        d = 2 * n - (p + q)
-        out[d] = out.get(d, 0) + c
+    for p, row in enumerate(entries, 1):
+        for q, c in enumerate(row, 1):
+            d = 2 * n - (p + q)
+            out[d] = out.get(d, 0) + c
     return dict(sorted(out.items()))

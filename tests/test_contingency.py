@@ -316,7 +316,7 @@ def test_anodyne_covers_keep_the_nonzero_entries():
         poset = build_poset(n)
         nonzero = [sorted(filter(None, sum(m.rows, ()))) for m in poset.elements]
         for kinds in ((), (HORIZONTAL,), (VERTICAL,), KINDS, (VERTICAL, HORIZONTAL)):
-            found = poset.anodyne_covers(kinds)
+            found = list(poset.anodyne_covers(kinds))
             assert found == [
                 (child, parent, kind, pos)
                 for child, parent, kind, pos in poset.covers
@@ -328,6 +328,14 @@ def test_anodyne_covers_keep_the_nonzero_entries():
                 for child, parent, kind, pos in poset.covers
                 if kind in kinds and is_anodyne(poset.elements[child], kind, pos)
             ]
+
+
+def test_anodyne_covers_are_walked_not_listed():
+    # a caller reads each anodyne cover as the walk reaches it
+    poset = build_poset(3)
+    for kinds in ((), (HORIZONTAL,), (VERTICAL,), KINDS):
+        found = poset.anodyne_covers(kinds)
+        assert iter(found) is found
 
 
 def test_poset_n1_and_n2():

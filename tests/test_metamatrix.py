@@ -19,7 +19,6 @@ from stochastihedron.metamatrix import (
     total_count,
     total_positivity,
     verify_factorizations,
-    verify_generalized_counts,
 )
 
 M3 = ((1, 2, 1), (2, 8, 6), (1, 6, 6))
@@ -85,8 +84,17 @@ def test_generalized_count_vs_weighted_census():
         for j in (1, 2)
     )
     assert lhs == generalized_count(2, 2, 2) == 10
+    # sum_ij C(p,i) C(q,j) M_ij = C(n+pq-1, n) on the census route
     for n in range(1, 8):
-        assert verify_generalized_counts(n)["pass"]
+        m = metamatrix(n, method="enumeration")
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                lhs = sum(
+                    comb(p, i) * comb(q, j) * m.entry(i, j)
+                    for i in range(1, p + 1)
+                    for j in range(1, q + 1)
+                )
+                assert lhs == generalized_count(n, p, q)
 
 
 # ---------------------------------------------------------------------------

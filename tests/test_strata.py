@@ -335,7 +335,18 @@ def test_anodyne_classes_match_fibers(n):
         assert sorted(tuple(v) for v in by_key.values()) == fibers
         assert report["fiber_label"] == fiber_name
         assert report["fiber_count"] == len(fibers)
-        assert sorted(report["classes"]) == fibers
+        # classes come out ordered by their least element
+        assert report["classes"] == fibers
+
+
+def test_anodyne_class_counts_at_n6(monkeypatch):
+    # p(6) multiplicity partitions and 3^5 FNF and dual FNF labels
+    monkeypatch.setenv("CONTINGENCY_MAX_N", "6")
+    joins = anodyne_joins(6)
+    for name, count in (("both", 11), ("horizontal", 243), ("vertical", 243)):
+        report = joins[name]
+        assert report["class_count"] == report["fiber_count"] == count
+        assert report["pass"]
 
 
 def test_anodyne_capacity():

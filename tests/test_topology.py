@@ -8,7 +8,13 @@ import pytest
 from helpers import complex_from_simplices
 
 from stochastihedron import topology
-from stochastihedron.contingency import KINDS, ContingencyMatrix, build_poset, count_cm
+from stochastihedron.contingency import (
+    KINDS,
+    ContingencyMatrix,
+    build_poset,
+    count_cm,
+    count_cm_by_size,
+)
 from stochastihedron.errors import CapacityError, DomainError
 from stochastihedron.exactlinalg import determinant, smith_normal_form
 from stochastihedron.topology import (
@@ -476,6 +482,23 @@ def test_f_vector_euler_and_totals():
 
 def test_f_vector_total_weight7():
     assert sum(f_vector(7).values()) == 546193
+
+
+def test_f_vector_is_the_census_by_anti_diagonal():
+    # M(n) by inclusion-exclusion against the census of CM_n, summed along
+    # p + q = 2n - d
+    for n in range(1, 8):
+        expected = {}
+        for (p, q), c in count_cm_by_size(n).items():
+            d = 2 * n - (p + q)
+            expected[d] = expected.get(d, 0) + c
+        assert f_vector(n) == expected
+
+
+def test_f_vector_euler_at_the_metamatrix_cap():
+    fv = f_vector(40)
+    assert list(fv) == list(range(79))
+    assert sum((-1) ** d * c for d, c in fv.items()) == 1
 
 
 def test_homology_profile_json():
