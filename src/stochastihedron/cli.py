@@ -5,22 +5,29 @@ Output is a JSON report envelope on stdout:
     {"command": ..., "parameters": {...}, "pass": true/false,
      "details": {...}, "elapsed_ms": ...}
 
-Exit code 0 when the command's check passes, 1 when a verification fails,
-2 for usage or malformed-input errors, 3 when a capacity guard trips.
-elapsed_ms is read when the encoder reaches it, after "details", so it
+The report is written in pieces, as it is encoded, by one writer
+(``jsonwriter.write_json``); its bytes are those of
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
+elapsed_ms is read when the writer reaches it, after "details", so it
 counts serialization.  With --stable the elapsed_ms field is omitted so
 output is byte-identical across runs; --pretty renders a small
 human-readable summary instead.
+
+Exit code 0 when the command's check passes, 1 when a verification fails,
+2 for usage or malformed-input errors, 3 when a capacity guard trips, and
+141 (128 + SIGPIPE) when stdout is closed before the report is written.
 """
 
 import argparse
-import itertools
 import json
+import os
 import sys
 import time
+from collections.abc import Iterator
 
 from . import contingency, sheaf, strata, topology
 from .errors import CapacityError, DomainError, StructuralError
+from .jsonwriter import write_json
 from .limits import METAMATRIX_CAP
 from .metamatrix import (
     det_metamatrix,
@@ -36,8 +43,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
-# stands in for elapsed_ms until the encoder reaches it
+# stands in for elapsed_ms until the writer reaches it
 _ELAPSED = object()
 
 
@@ -95,7 +103,7 @@ def _cmd_enumerate(args):
     return True, {
         "claim": "contingency-census",
         "count": len(matrices),
-        "matrices": [m.to_json() for m in matrices],
+        "matrices": ({"rows": m.rows} for m in matrices),
     }
 
 
@@ -103,7 +111,13 @@ def _cmd_poset(args):
     poset = contingency.build_poset(args.n)
     if args.format == "dot":
         return True, {"claim": "contraction-poset", "dot": contingency.poset_to_dot(poset)}
-    return True, {"claim": "contraction-poset", **contingency.poset_to_json(poset)}
+    # the writer takes both arrays one item at a time
+    return True, {
+        "claim": "contraction-poset",
+        "n": poset.n,
+        "elements": ({"rows": m.rows} for m in poset.elements),
+        "covers": contingency.poset_covers_json(poset),
+    }
 
 
 def _sphericity_progress():
@@ -376,6 +390,8 @@ def _render_pretty(report):
                 lines.append(f"    {k}: {v}")
         elif isinstance(value, list):
             lines.append(f"  {key}: [{len(value)} items]")
+        elif isinstance(value, Iterator):
+            lines.append(f"  {key}: [{sum(1 for _ in value)} items]")
     return "\n".join(lines) + "\n"
 
 
@@ -404,23 +420,26 @@ def main(argv=None):
     }
     if not args.stable:
         report["elapsed_ms"] = _ELAPSED
-    if args.pretty:
-        sys.stdout.write(_render_pretty(report))
-    else:
 
-        def elapsed_ms(obj):
-            # keys are sorted, so the clock is read once "details" is encoded
-            if obj is not _ELAPSED:
-                raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-            return int((time.monotonic() - started) * 1000)
+    def elapsed_ms(obj):
+        # keys are sorted, so the clock is read once "details" is encoded
+        if obj is not _ELAPSED:
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        return int((time.monotonic() - started) * 1000)
 
-        # one write per batch of encoder chunks, not one per chunk: an
-        # unbuffered stdout would otherwise see millions of writes
-        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=elapsed_ms)
-        chunks = encoder.iterencode(report)
-        for first in chunks:
-            sys.stdout.write(first + "".join(itertools.islice(chunks, 4095)))
-        sys.stdout.write("\n")
+    try:
+        if args.pretty:
+            sys.stdout.write(_render_pretty(report))
+        else:
+            write_json(report, sys.stdout.write, elapsed_ms)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     return EXIT_PASS if passed else EXIT_FAIL
 
 

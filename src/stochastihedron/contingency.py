@@ -528,14 +528,19 @@ def build_poset(n):
     return CmPoset(n, enumerate_cm(n))
 
 
+def poset_covers_json(poset):
+    """The covers as JSON objects, one at a time, in cover order."""
+    for child, parent, kind, pos in chain.from_iterable(poset._walk()):
+        yield {"from": child, "to": parent, "kind": kind, "pos": pos}
+
+
 def poset_to_json(poset):
+    """The poset as JSON; a matrix's rows stay tuples, which encode as
+    arrays."""
     return {
         "n": poset.n,
-        "elements": [m.to_json() for m in poset.elements],
-        "covers": [
-            {"from": child, "to": parent, "kind": kind, "pos": pos}
-            for child, parent, kind, pos in chain.from_iterable(poset._walk())
-        ],
+        "elements": [{"rows": m.rows} for m in poset.elements],
+        "covers": list(poset_covers_json(poset)),
     }
 
 

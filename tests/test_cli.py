@@ -24,7 +24,7 @@ CLI = [sys.executable, "-m", "stochastihedron.cli"]
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, env_extra=None):
+def cli_env(env_extra=None):
     env = dict(os.environ)
     env.pop("CONTINGENCY_MAX_N", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -32,9 +32,14 @@ def run_cli(*args, env_extra=None):
     )
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
     # the timeout turns a runaway input check into a failure, not a hang
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=120
+        CLI + list(args), capture_output=True, text=True, env=cli_env(env_extra),
+        timeout=120,
     )
 
 
@@ -86,13 +91,78 @@ def test_stable_output_is_byte_identical():
     assert first.stdout == second.stdout
 
 
-def test_report_bytes_match_json_dumps():
-    # the report is written in batches of encoder chunks; this one spans many
-    proc = run_cli("--stable", "enumerate", "--n", "5")
-    assert proc.returncode == 0
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    config = folder / "config.json"
+    config.write_text(
+        json.dumps({"points": [{"re": "0", "im": "1"}, {"re": "1/2", "im": "-1"}]})
+    )
+    rep = folder / "rep.json"
+    rep.write_text(json.dumps(constant_sheaf(2, 1).to_json()))
+    return {"config": str(config), "rep": str(rep)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the report is written in pieces by the writer; this one spans many
+        ("enumerate", "--n", "5"),
+        ("enumerate", "--what", "partitions", "--n", "4"),
+        ("poset", "--n", "3"),
+        ("poset", "--n", "3", "--format", "dot"),
+        ("sphericity", "--n", "3", "--full"),
+        ("f-vector", "--n", "4"),
+        ("metamatrix", "--n", "4"),
+        ("metamatrix", "--n", "4", "--format", "csv"),
+        ("verify-identities", "--n", "4"),
+        ("total-positivity", "--n", "4"),
+        ("classify", "--input", "{config}"),
+        ("anodyne-classes", "--n", "4", "--full"),
+        ("meet-join", "--n", "4"),
+        ("sheaf-check", "--input", "{rep}"),
+        ("constant-sheaf", "--n", "2", "--dim", "1"),
+    ],
+    ids=lambda argv: "-".join(a.strip("-{}") for a in argv),
+)
+def test_report_bytes_match_json_dumps(argv, input_files):
+    proc = run_cli("--stable", *(a.format(**input_files) for a in argv))
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == json.dumps(
         json.loads(proc.stdout), indent=2, sort_keys=True
     ) + "\n"
+
+
+def test_report_arrives_in_bounded_writes(monkeypatch):
+    writes = []
+
+    class CountingStdout(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", CountingStdout())
+    assert cli.main(["--stable", "enumerate", "--n", "5"]) == 0
+    assert len(writes) >= 10
+    assert max(writes) <= 64 * 1024
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    proc = subprocess.Popen(
+        CLI + ["--stable", "enumerate", "--n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    # the report is about 1 MB, far more than a pipe holds
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert head.startswith(b"{")
+    assert code == cli.EXIT_PIPE == 141
+    assert err == b""
 
 
 def test_unstable_output_has_timing():
@@ -598,6 +668,13 @@ def test_pretty_output():
     proc = run_cli("--pretty", "--stable", "f-vector", "--n", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("f-vector: PASS")
+
+
+def test_pretty_poset_counts_its_streamed_arrays():
+    proc = run_cli("--pretty", "--stable", "poset", "--n", "3")
+    assert proc.returncode == 0
+    assert "  elements: [33 items]\n" in proc.stdout
+    assert "  covers: [84 items]\n" in proc.stdout
 
 
 # ---------------------------------------------------------------------------
