@@ -28,7 +28,16 @@ from collections.abc import Iterator
 from . import contingency, sheaf, strata, topology
 from .errors import CapacityError, DomainError, StructuralError
 from .jsonwriter import write_json
-from .limits import METAMATRIX_CAP
+from .limits import (
+    ANODYNE_CAP,
+    CONSTANT_SHEAF_CAP,
+    ENUMERATION_CAP,
+    MEET_CAP,
+    METAMATRIX_CAP,
+    POSET_CAP,
+    SPHERICITY_CAP,
+    effective_cap,
+)
 from .metamatrix import (
     det_metamatrix,
     guard_positivity_scan,
@@ -67,18 +76,31 @@ def _load_json(path):
         raise StructuralError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+# the commands that work over all of CM_n, and the cap on their --n
+_CENSUS_CAPS = {
+    "enumerate": ENUMERATION_CAP,
+    "poset": POSET_CAP,
+    "sphericity": SPHERICITY_CAP,
+    "anodyne-classes": ANODYNE_CAP,
+    "meet-join": MEET_CAP,
+    "constant-sheaf": CONSTANT_SHEAF_CAP,
+}
+
+
 def _refused_census(args):
     """'; |CM_n| = N' for the capacity message of a run over all of CM_n
-    (``enumerate`` of matrices with no margin or size given, ``poset``,
-    ``sphericity``), counted in closed form when n is within the
-    meta-matrix cap; else ''."""
+    refused for its n (``enumerate`` of matrices with no margin or size
+    given, ``poset``, ``sphericity``, ``anodyne-classes``, ``meet-join``,
+    ``constant-sheaf``, but not a ``--dim`` refused alone), counted in
+    closed form when n is within the meta-matrix cap; else ''."""
     n = getattr(args, "n", None)
+    cap = _CENSUS_CAPS.get(args.command)
     if (
-        args.command in ("enumerate", "poset", "sphericity")
+        cap is not None
         and getattr(args, "what", "matrices") == "matrices"
         and all(getattr(args, key, None) is None for key in ("p", "q", "alpha", "beta"))
         and n is not None
-        and n <= METAMATRIX_CAP
+        and effective_cap(cap) < n <= METAMATRIX_CAP
     ):
         return f"; |CM_{n}| = {total_count(n):,}"
     return ""

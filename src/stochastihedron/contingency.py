@@ -17,7 +17,8 @@ adjacent columns.  Canonical element order is lexicographic on
 
 import itertools
 import operator
-from itertools import accumulate, chain, count, repeat
+from functools import cached_property
+from itertools import accumulate, chain, count, islice, repeat
 from math import factorial
 from operator import add, lshift
 
@@ -150,15 +151,18 @@ def _bounded_compositions(total, budgets, memo):
 
     Generated in lexicographic order.  ``memo`` belongs to one census: the
     same (total, budgets) states recur across its margin pairs, and it is
-    dropped with the census.
+    dropped with the census.  It also keys each tuple made here by itself,
+    so that equal tuples of one census are one object; a tuple of ints
+    cannot meet a (total, budgets) key, whose second item is a tuple.
     """
     capped = tuple(b if b < total else total for b in budgets)
     key = (total, capped)
     hit = memo.get(key)
     if hit is not None:
         return hit
+    share = memo.setdefault
     if len(capped) == 1:
-        result = ((total,),) if total <= capped[0] else ()
+        result = (share((total,), (total,)),) if total <= capped[0] else ()
     else:
         rest = capped[1:]
         rest_sum = sum(rest)
@@ -168,7 +172,8 @@ def _bounded_compositions(total, budgets, memo):
         acc = []
         for x in range(lo, min(total, capped[0]) + 1):
             for tail in _bounded_compositions(total - x, rest, memo):
-                acc.append((x,) + tail)
+                row = (x,) + tail
+                acc.append(share(row, row))
         result = tuple(acc)
     memo[key] = result
     return result
@@ -179,13 +184,17 @@ def _iter_fixed_margins(alpha, beta, memo):
 
     Row sums alpha and column sums beta force every row and column to be
     nonzero, so the fill is backtrack-free: each intermediate state extends
-    to at least one matrix.
+    to at least one matrix.  The last row is the column budgets left; it
+    is looked up in the census ``memo`` like the rows that
+    ``_bounded_compositions`` makes, so each distinct row of a census is
+    one tuple object.
     """
     p = len(alpha)
+    share = memo.setdefault
 
     def rec(i, budgets, prefix):
         if i == p - 1:
-            yield prefix + (budgets,)
+            yield prefix + (share(budgets, budgets),)
             return
         ai = alpha[i]
         for row in _bounded_compositions(ai, budgets, memo):
@@ -384,18 +393,47 @@ def _cut_mask(rows, n):
     return sum(map(lshift, repeat(1), positions))
 
 
+class _CoverView:
+    """A read-only view of every cover as (child, parent, kind, position),
+    read off ``up`` through ``_walk``; it stores no cover.
+    Indexing walks to the cover, so a caller that reads many should
+    iterate."""
+
+    __slots__ = ("_poset",)
+
+    def __init__(self, poset):
+        self._poset = poset
+
+    def __len__(self):
+        return sum(map(len, self._poset.up))
+
+    def __iter__(self):
+        return chain.from_iterable(self._poset._walk())
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        size = len(self)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError("cover index out of range")
+        return next(islice(self, k, None))
+
+
 class CmPoset:
     """CM_n with its covers (single contractions) and the contraction order.
 
     ``up[i]``, the one record of the covers, holds the indices of i's
     parents: first contract(i, "horizontal", pos) for pos = 0, 1, ..., then
     contract(i, "vertical", pos), so a parent's place in ``up[i]`` gives the
-    kind and position of its cover; ``_walk`` alone reads that layout, and
-    ``covers``, ``anodyne_covers`` and the exports read ``_walk``.
-    ``down[i]`` holds i's children in element order.  The contracted
-    matrix is the larger; ``leq`` decides the order by cut masks, each made
-    from its element's rows on first use.  ``elements`` must be closed
-    under contraction and under transposition, as CM_n is; a set not closed
+    kind and position of its cover; ``_walk`` alone reads that layout,
+    ``covers`` and ``anodyne_covers`` read ``_walk``, and the exports read
+    ``covers``.  ``down[i]`` holds i's children in element order; it is
+    derived from ``up`` on first read and kept, since only lower intervals
+    and the sphericity check read it.  The contracted matrix is the
+    larger; ``leq`` decides the order by cut masks, each made from its
+    element's rows on first use.  ``elements`` must be closed under
+    contraction and under transposition, as CM_n is; a set not closed
     under transposition is refused with a DomainError.
     """
 
@@ -415,13 +453,17 @@ class CmPoset:
         for child, t in enumerate(transpose):
             columns = up[t][: elements[child].q - 1]
             up[child] += tuple([transpose[x] for x in columns])
-        down = [[] for _ in elements]
-        for child, parents in enumerate(up):
+        self.up = tuple(up)
+        self._masks = [None] * len(elements)
+
+    @cached_property
+    def down(self):
+        """``down[i]``: i's children in element order, built from ``up``."""
+        down = [[] for _ in self.up]
+        for child, parents in enumerate(self.up):
             for parent in parents:
                 down[parent].append(child)
-        self.up = tuple(up)
-        self.down = tuple(map(tuple, down))
-        self._masks = [None] * len(elements)
+        return tuple(map(tuple, down))
 
     def _walk(self, kinds=KINDS):
         """For each element, and each of these kinds with horizontal first,
@@ -439,12 +481,10 @@ class CmPoset:
     def covers(self):
         """Every cover as (child, parent, kind, position), with parent =
         contract(child, kind, position): children in element order, then
-        horizontal before vertical, then by position.  Each access builds
-        the tuple afresh from ``up``."""
-        covers = []
-        for slots in self._walk():
-            covers += slots
-        return tuple(covers)
+        horizontal before vertical, then by position.  A sized view over
+        ``up``: its length is counted off ``up`` and its covers are made
+        as it is iterated, so no cover tuple is kept."""
+        return _CoverView(self)
 
     def __len__(self):
         return len(self.elements)
@@ -495,8 +535,14 @@ class CmPoset:
 
     def _query(self, small, large, kinds):
         """``leq`` on two matrices or raw row lists; DomainError for a
-        matrix that is not an element."""
-        return self.leq(self.element_index(small), self.element_index(large), kinds)
+        matrix that is not an element.  Two matrices are looked up here;
+        ``element_index`` takes raw row lists and words the error."""
+        index = self.index
+        try:
+            i, j = index[small.rows], index[large.rows]
+        except (AttributeError, KeyError):
+            i, j = self.element_index(small), self.element_index(large)
+        return self.leq(i, j, kinds)
 
     def cm_leq(self, small, large):
         """The order generated by contractions of both kinds."""
@@ -530,7 +576,7 @@ def build_poset(n):
 
 def poset_covers_json(poset):
     """The covers as JSON objects, one at a time, in cover order."""
-    for child, parent, kind, pos in chain.from_iterable(poset._walk()):
+    for child, parent, kind, pos in poset.covers:
         yield {"from": child, "to": parent, "kind": kind, "pos": pos}
 
 
@@ -550,7 +596,7 @@ def poset_to_dot(poset):
     for i, m in enumerate(poset.elements):
         label = "|".join(" ".join(str(x) for x in row) for row in m.rows)
         lines.append(f'  e{i} [label="{label}"];')
-    for child, parent, kind, pos in chain.from_iterable(poset._walk()):
+    for child, parent, kind, pos in poset.covers:
         lines.append(f'  e{child} -> e{parent} [label="{kind[0]}{pos}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

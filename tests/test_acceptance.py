@@ -6,7 +6,9 @@ equality unless a runtime bound is stated).  Run with
 to see one PASS line per criterion.
 """
 
+import gc
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -246,3 +248,19 @@ def test_criterion_13_census_by_size_matches_enumeration():
         for n in range(1, 7)
     )
     report(13, "memoized census by size = (p, q) tally of the enumeration (n<=6)", ok)
+
+
+def test_criterion_14_poset_memory():
+    # the traced peak of building CM_5 and counting its covers: about
+    # 1.5 MB with only up kept, 3.3 MB when down and a cover tuple were
+    # built as well; tracemalloc counts this process's allocations alone
+    build_poset(2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        covers = len(build_poset(5).covers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report(14, f"build_poset(5) and its {covers:,} covers peak at {peak:,} < 2.4 MB traced",
+           covers == 15912 and peak < 2_400_000)

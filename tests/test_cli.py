@@ -351,6 +351,27 @@ def test_capacity_errors_name_the_refused_census(monkeypatch, capsys, argv, size
     assert err.count("|CM_") == bool(size)
 
 
+@pytest.mark.parametrize("argv, size", [
+    (("anodyne-classes", "--n", "6"), "; |CM_6| = 37,277"),
+    (("meet-join", "--n", "8"), "; |CM_8| = 9,132,865"),
+    (("constant-sheaf", "--n", "7", "--dim", "1"), "; |CM_7| = 546,193"),
+])
+def test_capacity_errors_of_the_poset_commands_name_the_census(argv, size):
+    # one past the command's cap on --n, refused in its own process
+    proc = run_cli("--stable", *argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("set CONTINGENCY_MAX_N to raise the limit" + size + "\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_refused_dimension_does_not_name_the_census(monkeypatch, capsys):
+    monkeypatch.delenv("CONTINGENCY_MAX_N", raising=False)
+    assert cli.main(["--stable", "constant-sheaf", "--n", "6", "--dim", "9"]) == 3
+    err = capsys.readouterr().err
+    assert "dimension is capped at 8 (got 9)" in err and "|CM_" not in err
+
+
 @pytest.mark.parametrize("n", ["8", "40"])
 def test_total_positivity_guard_precedes_the_metamatrix(monkeypatch, capsys, n):
     def no_build(*args, **kwargs):

@@ -292,14 +292,14 @@ def test_poset_refuses_elements_not_closed_under_transposition():
     with pytest.raises(DomainError, match="^elements must be closed under transposition$"):
         contingency.CmPoset(2, [cm([[1, 1]]), cm([[2]])])
     poset = contingency.CmPoset(2, [cm([[1, 1]]), cm([[1], [1]]), cm([[2]])])
-    assert poset.covers == ((0, 2, VERTICAL, 0), (1, 2, HORIZONTAL, 0))
+    assert tuple(poset.covers) == ((0, 2, VERTICAL, 0), (1, 2, HORIZONTAL, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_up_and_down_are_the_covers_as_indices(n):
-    # up is the one record of the covers; covers is built from it on each
-    # access, and up and down hold the parents and children of each
-    # element, in cover order, as plain ints
+    # up is the one record of the covers; covers is a view over it, and up
+    # and down hold the parents and children of each element, in cover
+    # order, as plain ints
     poset = build_poset(n)
     assert "covers" not in vars(poset)
     for i in range(len(poset)):
@@ -307,6 +307,57 @@ def test_up_and_down_are_the_covers_as_indices(n):
         assert poset.down[i] == tuple(c for c, p, _, _ in poset.covers if p == i)
         for j in poset.up[i] + poset.down[i]:
             assert type(j) is int
+
+
+def _walked_covers(poset):
+    return tuple(cover for slots in poset._walk() for cover in slots)
+
+
+def _down_from_walk(poset):
+    down = [[] for _ in range(len(poset))]
+    for child, parent, _, _ in _walked_covers(poset):
+        down[parent].append(child)
+    return tuple(map(tuple, down))
+
+
+def _closed_up_set():
+    # the matrices of CM_4 with at most two rows and two columns: closed
+    # under contraction and under transposition
+    return contingency.CmPoset(4, [m for m in enumerate_cm(4) if m.p <= 2 and m.q <= 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, None])
+def test_down_is_built_on_first_read(n):
+    poset = _closed_up_set() if n is None else build_poset(n)
+    assert "down" not in vars(poset)
+    want = _down_from_walk(poset)
+    assert poset.down == want
+    assert vars(poset)["down"] is poset.down
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, None])
+def test_covers_is_a_sized_view_of_the_walk(n):
+    poset = _closed_up_set() if n is None else build_poset(n)
+    want = _walked_covers(poset)
+    covers = poset.covers
+    assert len(covers) == len(want) == sum(map(len, poset.up))
+    assert tuple(covers) == want
+    assert bool(covers) == bool(want) == (n != 1)
+    for k in range(-len(want), len(want)):
+        assert covers[k] == want[k]
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            covers[k]
+    assert "covers" not in vars(poset)
+    # the count is read off up: no cover is made to count them
+    poset._walk = None
+    assert len(poset.covers) == len(want) and bool(poset.covers) == bool(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_each_distinct_row_is_one_tuple(n):
+    rows = [row for m in enumerate_cm(n) for row in m.rows]
+    assert len({id(row) for row in rows}) == len(set(rows))
 
 
 def test_anodyne_covers_keep_the_nonzero_entries():
@@ -518,6 +569,16 @@ def test_leq_direction():
         for small, large in ((cm([[3]]), cm([[2]])), (cm([[2]]), [[3]])):
             with pytest.raises(DomainError, match=missing):
                 query(small, large)
+        # a matrix of the wrong weight, a raw list that is not an element
+        # and a ragged list, on either side
+        for bad, rows in (
+            (cm([[1, 0], [0, 2]]), r"\(1, 0\), \(0, 2\)"),
+            ([[0, 1], [1, 1]], r"\(0, 1\), \(1, 1\)"),
+            ([[1, 1], [0]], r"\(1, 1\), \(0,\)"),
+        ):
+            for small, large in ((bad, fine), (fine, bad)):
+                with pytest.raises(DomainError, match=rf"matrix \({rows}\) is not an element"):
+                    query(small, large)
 
 
 def test_json_and_dot_exports():
