@@ -31,14 +31,25 @@ VERTICAL = "vertical"
 KINDS = (HORIZONTAL, VERTICAL)
 
 
+_INT = {int}
+
+
+def _exact_row(row):
+    """The row as a tuple of exact ints: kept if it is one already."""
+    if type(row) is tuple and set(map(type, row)) <= _INT:
+        return row
+    return tuple(map(operator.index, row))
+
+
 class ContingencyMatrix:
     """Immutable p x q nonnegative integer grid, no zero row or column.
 
     The default ``check=True`` takes each entry through ``operator.index``
     (a float, string or Fraction raises DomainError) and validates the
-    grid.  ``check=False`` trusts the caller to pass a valid grid of
-    integer entries and only turns the rows into tuples, reusing row
-    tuples as they are.
+    grid; a row that is already a tuple of exact ints is kept as it is,
+    any other row is copied.  ``check=False`` trusts the caller to pass a
+    valid grid of integer entries and only turns the rows into tuples,
+    reusing row tuples as they are.
     """
 
     __slots__ = ("rows", "p", "q", "weight")
@@ -46,7 +57,7 @@ class ContingencyMatrix:
     def __init__(self, rows, check=True):
         if check:
             try:
-                rows = tuple(tuple(map(operator.index, row)) for row in rows)
+                rows = tuple(map(_exact_row, rows))
             except TypeError as exc:
                 raise DomainError(f"entries must be integers: {exc}") from exc
             if not rows or not rows[0]:
@@ -395,7 +406,8 @@ def _cut_mask(rows, n):
 
 class _CoverView:
     """A read-only view of every cover as (child, parent, kind, position),
-    read off ``up`` through ``_walk``; it stores no cover.
+    read off ``up`` through ``_walk``; it stores no cover.  Its length is
+    counted from the elements' shapes, so counting builds no ``up``.
     Indexing walks to the cover, so a caller that reads many should
     iterate."""
 
@@ -405,7 +417,11 @@ class _CoverView:
         self._poset = poset
 
     def __len__(self):
-        return sum(map(len, self._poset.up))
+        # a p x q element has p - 1 row merges and q - 1 column merges, all
+        # distinct and all in a set closed under contraction, so this is
+        # sum(map(len, up)) without building up
+        elements = self._poset.elements
+        return sum(m.p + m.q for m in elements) - 2 * len(elements)
 
     def __iter__(self):
         return chain.from_iterable(self._poset._walk())
@@ -428,33 +444,44 @@ class CmPoset:
     contract(i, "vertical", pos), so a parent's place in ``up[i]`` gives the
     kind and position of its cover; ``_walk`` alone reads that layout,
     ``covers`` and ``anodyne_covers`` read ``_walk``, and the exports read
-    ``covers``.  ``down[i]`` holds i's children in element order; it is
-    derived from ``up`` on first read and kept, since only lower intervals
-    and the sphericity check read it.  The contracted matrix is the
-    larger; ``leq`` decides the order by cut masks, each made from its
-    element's rows on first use.  ``elements`` must be closed under
-    contraction and under transposition, as CM_n is; a set not closed
-    under transposition is refused with a DomainError.
+    ``covers``.  ``up`` is built on first read and kept: the order
+    predicates read cut masks and ``len(covers)`` counts from the elements'
+    shapes, so neither builds it.  ``down[i]`` holds i's children in
+    element order; it is derived from ``up`` on first read and kept, since
+    only lower intervals and the sphericity check read it.  The contracted
+    matrix is the larger; ``leq`` decides the order by cut masks, each made
+    from its element's rows on first use.  ``elements`` must be closed
+    under contraction and under transposition, as CM_n is: a set not
+    closed under transposition is refused with a DomainError here, and
+    one not closed under contraction when ``up`` is built.
     """
 
     def __init__(self, n, elements):
         self.n = n
         self.elements = elements = tuple(elements)
         self.index = index = {m.rows: i for i, m in enumerate(elements)}
-        up = [
-            tuple([index[_merge_rows(m.rows, pos)] for pos in range(m.p - 1)])
-            for m in elements
-        ]
+        if not all(tuple(zip(*m.rows)) in index for m in elements):
+            raise DomainError("elements must be closed under transposition")
+        self._masks = [None] * len(elements)
+
+    @cached_property
+    def up(self):
+        """``up[i]``: i's parents, row merges first, then column merges."""
+        elements, index = self.elements, self.index
+        try:
+            up = [
+                tuple([index[_merge_rows(m.rows, pos)] for pos in range(m.p - 1)])
+                for m in elements
+            ]
+        except KeyError:
+            raise DomainError("elements must be closed under contraction") from None
         # merging columns i, i+1 of A is merging rows i, i+1 of A's
         # transpose, transposed back; up[t] begins with t's row merges
-        transpose = [index.get(tuple(zip(*m.rows))) for m in elements]
-        if None in transpose:
-            raise DomainError("elements must be closed under transposition")
+        transpose = [index[tuple(zip(*m.rows))] for m in elements]
         for child, t in enumerate(transpose):
             columns = up[t][: elements[child].q - 1]
             up[child] += tuple([transpose[x] for x in columns])
-        self.up = tuple(up)
-        self._masks = [None] * len(elements)
+        return tuple(up)
 
     @cached_property
     def down(self):
@@ -482,8 +509,8 @@ class CmPoset:
         """Every cover as (child, parent, kind, position), with parent =
         contract(child, kind, position): children in element order, then
         horizontal before vertical, then by position.  A sized view over
-        ``up``: its length is counted off ``up`` and its covers are made
-        as it is iterated, so no cover tuple is kept."""
+        ``up``: its length is counted from the elements' shapes and its
+        covers are made as it is iterated, so no cover tuple is kept."""
         return _CoverView(self)
 
     def __len__(self):
@@ -569,7 +596,7 @@ class CmPoset:
 
 
 def build_poset(n):
-    """Enumerate CM_n and record every single-contraction cover."""
+    """Enumerate CM_n; its covers are recorded when ``up`` is first read."""
     guard(n, POSET_CAP, "contingency poset construction")
     return CmPoset(n, enumerate_cm(n))
 

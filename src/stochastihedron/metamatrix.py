@@ -21,12 +21,12 @@ M(n) is totally positive: every minor of every size is strictly positive.
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from . import contingency
 from .errors import DomainError
+from .frozen import Frozen
 from .limits import (
     DET_DIRECT_CAP,
     ENUMERATION_CAP,
@@ -108,21 +108,30 @@ def metamatrix_entry(n, p, q):
 # ---------------------------------------------------------------------------
 # the meta-matrix itself
 
-@dataclass(frozen=True)
-class MetaMatrix:
-    n: int
-    entries: tuple  # entries[p-1][q-1], 1-based sizes
+class MetaMatrix(Frozen):
+    __slots__ = ("n", "entries")  # entries[p-1][q-1], 1-based sizes
 
-    def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        n = self.n
+    def __init__(self, n, entries):
+        entries = tuple(tuple(int(x) for x in row) for row in entries)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise DomainError(f"meta-matrix of weight {n} must be {n}x{n}")
         if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i)):
             raise DomainError("meta-matrix must be symmetric")
         if entries[0][0] != 1 or entries[n - 1][n - 1] != factorial(n):
             raise DomainError("corner counts are wrong for a meta-matrix")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.entries) == (other.n, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.entries))
+
+    def __repr__(self):
+        return f"MetaMatrix(n={self.n!r}, entries={self.entries!r})"
 
     def entry(self, p, q):
         """1-based access: the number of p x q matrices."""
@@ -291,13 +300,35 @@ def verify_factorizations(n):
     }
 
 
-@dataclass(frozen=True)
-class DetReport:
-    n: int
-    closed_form: Fraction
-    direct: object  # int, or None when the direct route is skipped
-    integral: bool
-    equal: object  # bool, or None when not compared
+class DetReport(Frozen):
+    # direct is an int, or None when the direct route is skipped; equal is
+    # a bool, or None when not compared
+    __slots__ = ("n", "closed_form", "direct", "integral", "equal")
+
+    def __init__(self, n, closed_form, direct, integral, equal):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "equal", equal)
+
+    def _fields(self):
+        return (self.n, self.closed_form, self.direct, self.integral, self.equal)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"DetReport(n={self.n!r}, closed_form={self.closed_form!r}, "
+            f"direct={self.direct!r}, integral={self.integral!r}, "
+            f"equal={self.equal!r})"
+        )
 
 
 def det_metamatrix(n):

@@ -26,7 +26,6 @@ fractions, never a floating-point tolerance.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .contingency import (
@@ -38,23 +37,32 @@ from .contingency import (
 )
 from .errors import DomainError, StructuralError
 from .exactlinalg import parse_rational
+from .frozen import Frozen
 from .limits import ANODYNE_CAP, MEET_CAP, guard
 from .partitions import OrderedPartition, as_partition, block_bounds
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(Frozen):
     """A multiset of points (re, im) with exact rational coordinates."""
 
-    points: tuple  # tuple of (Fraction, Fraction), stored sorted
+    __slots__ = ("points",)  # tuple of (Fraction, Fraction), stored sorted
 
-    def __post_init__(self):
-        pts = tuple(
-            sorted((Fraction(re), Fraction(im)) for re, im in self.points)
-        )
+    def __init__(self, points):
+        pts = tuple(sorted((Fraction(re), Fraction(im)) for re, im in points))
         if not pts:
             raise DomainError("a configuration needs at least one point")
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.points == other.points
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.points,))
+
+    def __repr__(self):
+        return f"PointConfiguration(points={self.points!r})"
 
     def to_json(self):
         return {
@@ -76,19 +84,29 @@ class PointConfiguration:
         return cls(tuple(pts))
 
 
-@dataclass(frozen=True)
-class MultiplicityPartition:
+class MultiplicityPartition(Frozen):
     """Point multiplicities, sorted non-increasingly; labels a complex stratum."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(a) for a in self.parts)
+    def __init__(self, parts):
+        parts = tuple(int(a) for a in parts)
         if not parts or any(a < 1 for a in parts):
             raise DomainError(f"parts must be positive, got {parts}")
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise DomainError(f"parts must be non-increasing, got {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"MultiplicityPartition(parts={self.parts!r})"
 
     @property
     def weight(self):
@@ -102,17 +120,17 @@ class MultiplicityPartition:
         return list(self.parts)
 
 
-@dataclass(frozen=True)
-class FnfLabel:
+class FnfLabel(Frozen):
     """[beta : gamma]: line multiplicities bottom-to-top, and the
     left-to-right coincidence pattern on each line."""
 
-    beta: OrderedPartition
-    gamma: tuple  # tuple of OrderedPartition, gamma[j].weight == beta.parts[j]
+    # an OrderedPartition, and a tuple of OrderedPartition with
+    # gamma[j].weight == beta.parts[j]
+    __slots__ = ("beta", "gamma")
 
-    def __post_init__(self):
-        beta = as_partition(self.beta)
-        gamma = tuple(as_partition(g) for g in self.gamma)
+    def __init__(self, beta, gamma):
+        beta = as_partition(beta)
+        gamma = tuple(as_partition(g) for g in gamma)
         if len(gamma) != beta.length:
             raise DomainError("need one pattern per line")
         for j, g in enumerate(gamma):
@@ -122,6 +140,17 @@ class FnfLabel:
                 )
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.beta, self.gamma) == (other.beta, other.gamma)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.beta, self.gamma))
+
+    def __repr__(self):
+        return f"FnfLabel(beta={self.beta!r}, gamma={self.gamma!r})"
 
     @property
     def weight(self):

@@ -56,11 +56,11 @@ Reduced homology conventions: the empty cell is a genuine cell in degree
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 from . import contingency
 from .errors import DomainError
 from .exactlinalg import smith_normal_form
+from .frozen import Frozen
 from .limits import SPHERICITY_CAP, guard
 from .metamatrix import metamatrix
 
@@ -68,13 +68,28 @@ from .metamatrix import metamatrix
 # ---------------------------------------------------------------------------
 # homology profiles
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(Frozen):
     """Reduced integral homology: nonzero Betti numbers and torsion factors
     per degree, degrees from -1 up."""
 
-    betti: tuple      # sorted tuple of (degree, rank), rank > 0
-    torsion: tuple    # sorted tuple of (degree, (factors > 1, ...))
+    # betti: sorted tuple of (degree, rank), rank > 0
+    # torsion: sorted tuple of (degree, (factors > 1, ...))
+    __slots__ = ("betti", "torsion")
+
+    def __init__(self, betti, torsion):
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.betti, self.torsion) == (other.betti, other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.betti, self.torsion))
+
+    def __repr__(self):
+        return f"HomologyProfile(betti={self.betti!r}, torsion={self.torsion!r})"
 
     @classmethod
     def make(cls, betti_by_degree, torsion_by_degree):

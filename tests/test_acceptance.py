@@ -7,6 +7,7 @@ to see one PASS line per criterion.
 """
 
 import gc
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -264,3 +265,29 @@ def test_criterion_14_poset_memory():
         tracemalloc.stop()
     report(14, f"build_poset(5) and its {covers:,} covers peak at {peak:,} < 2.4 MB traced",
            covers == 15912 and peak < 2_400_000)
+
+
+def test_criterion_15_order_queries_build_no_cover_record():
+    # the traced peak of building CM_5, 1,000 seeded order queries of each
+    # kind and counting the covers: about 1.24 MB when none of them builds
+    # up, 1.51 MB when build_poset built it
+    build_poset(2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        poset = build_poset(5)
+        rng = random.Random(15)
+        elements = poset.elements
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(1000)]
+        answers = [
+            query(a, b)
+            for query in (poset.cm_leq, poset.cm_leq_horizontal, poset.cm_leq_vertical)
+            for a, b in pairs
+        ]
+        covers = len(poset.covers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report(15, f"build_poset(5), {len(answers):,} order queries and {covers:,} covers "
+               f"peak at {peak:,} < 1.35 MB traced",
+           covers == 15912 and "up" not in vars(poset) and peak < 1_350_000)

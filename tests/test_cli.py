@@ -860,3 +860,12 @@ def test_classify_keeps_exit_contract(payload):
 @given(sheaf_payloads, st.sampled_from(["cont", "fnf", "ifnf", "complex"]))
 def test_sheaf_check_keeps_exit_contract(payload, strat):
     assert_exit_contract(*run_in_process(["sheaf-check", "--strat", strat], payload))
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI run pays for what the package imports at start-up
+    code = "import sys, stochastihedron.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -77,6 +77,27 @@ def test_unchecked_constructor_matches_checked():
     assert all(a is b for a, b in zip(ContingencyMatrix(rows, check=False).rows, rows))
 
 
+def test_checked_constructor_keeps_exact_int_tuple_rows():
+    row = (1, 0)
+    m = cm((row, [2, 1]))
+    assert m.rows[0] is row
+    assert m.rows == ((1, 0), (2, 1))
+    # rows given as lists are copied into tuples
+    rows = [[1, 0], [2, 1]]
+    m = cm(rows)
+    assert all(type(r) is tuple for r in m.rows)
+    rows[0][0] = 5
+    assert m.rows == ((1, 0), (2, 1))
+    # a tuple holding a bool is not a tuple of exact ints: it is copied
+    row = (True, 0)
+    m = cm((row, (0, 1)))
+    assert m.rows[0] is not row and type(m.rows[0][0]) is int
+    assert type(cm([[True, 0], [0, 1]]).rows[0][0]) is int
+    for rows in (((1, 0), (2, 1)), [[1, 0], [2, 1]], [(True, 0), (2, 1)]):
+        checked, unchecked = cm(rows), ContingencyMatrix(((1, 0), (2, 1)), check=False)
+        assert checked == unchecked and hash(checked) == hash(unchecked)
+
+
 def test_margins_examples():
     w, hor, ver = margins(cm([[1, 0], [0, 1]]))
     assert (w, hor.parts, ver.parts) == (2, (1, 1), (1, 1))
@@ -295,6 +316,34 @@ def test_poset_refuses_elements_not_closed_under_transposition():
     assert tuple(poset.covers) == ((0, 2, VERTICAL, 0), (1, 2, HORIZONTAL, 0))
 
 
+def test_poset_refuses_elements_not_closed_under_contraction():
+    # closed under transposition, so the set is taken; up, built on first
+    # read, finds that (1 1) contracts to (2), which is not an element
+    poset = contingency.CmPoset(2, [cm([[1, 1]]), cm([[1], [1]])])
+    assert poset.leq(0, 0) and not poset.leq(0, 1)
+    for read in (lambda: poset.up, lambda: poset.down, lambda: list(poset.covers)):
+        with pytest.raises(DomainError, match="^elements must be closed under contraction$"):
+            read()
+    assert "up" not in vars(poset)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_order_queries_and_cover_counts_do_not_build_up(n):
+    poset = build_poset(n)
+    assert "up" not in vars(poset)
+    rng = random.Random(n)
+    elements = poset.elements
+    for _ in range(200):
+        a, b = rng.choice(elements), rng.choice(elements)
+        poset.cm_leq(a, b)
+        poset.cm_leq_horizontal(a, b)
+        poset.cm_leq_vertical(a, b)
+        poset.cm_leq(b.rows, a.rows)
+    assert poset.cm_leq(elements[-1], elements[0])
+    assert len(poset.covers) == sum(m.p + m.q - 2 for m in elements)
+    assert "up" not in vars(poset) and "down" not in vars(poset)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_up_and_down_are_the_covers_as_indices(n):
     # up is the one record of the covers; covers is a view over it, and up
@@ -326,6 +375,39 @@ def _closed_up_set():
     return contingency.CmPoset(4, [m for m in enumerate_cm(4) if m.p <= 2 and m.q <= 2])
 
 
+def _eager_up(poset):
+    # each element's parents by the checked contraction, row merges first
+    return tuple(
+        tuple(poset.element_index(contract(m, kind, pos)) for kind, pos in all_contractions(m))
+        for m in poset.elements
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, None])
+def test_up_is_built_on_first_read(n):
+    poset = _closed_up_set() if n is None else build_poset(n)
+    assert "up" not in vars(poset)
+    want = _eager_up(poset)
+    assert poset.up == want
+    assert vars(poset)["up"] is poset.up
+    elements = poset.elements
+    for slots in poset._walk():
+        for child, parent, kind, pos in slots:
+            a, b = elements[child], elements[parent]
+            assert block_sum_leq(a, b, (kind,)) and not block_sum_leq(b, a)
+            assert poset.rank(parent) == poset.rank(child) + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, None])
+def test_cover_count_from_shapes_matches_up(n):
+    # distinct merges of one matrix give distinct parents, all elements of
+    # a set closed under contraction, so each merge is one entry of up
+    poset = _closed_up_set() if n is None else build_poset(n)
+    count = len(poset.covers)
+    assert "up" not in vars(poset)
+    assert count == sum(map(len, poset.up))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, None])
 def test_down_is_built_on_first_read(n):
     poset = _closed_up_set() if n is None else build_poset(n)
@@ -349,7 +431,7 @@ def test_covers_is_a_sized_view_of_the_walk(n):
         with pytest.raises(IndexError):
             covers[k]
     assert "covers" not in vars(poset)
-    # the count is read off up: no cover is made to count them
+    # the count is read off the shapes: no cover is made to count them
     poset._walk = None
     assert len(poset.covers) == len(want) and bool(poset.covers) == bool(want)
 

@@ -1,0 +1,57 @@
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from stochastihedron.metamatrix import DetReport, MetaMatrix, det_metamatrix, metamatrix
+from stochastihedron.partitions import OrderedPartition
+from stochastihedron.strata import FnfLabel, MultiplicityPartition, PointConfiguration
+from stochastihedron.topology import HomologyProfile
+
+# each value class, built positionally and by keyword, with its fields in
+# constructor order and its repr
+CASES = [
+    (OrderedPartition((1, 2)), OrderedPartition(parts=[1, True + 1]), ((1, 2),),
+     "OrderedPartition((1, 2))"),
+    (PointConfiguration(((1, 0), (0, 0))), PointConfiguration(points=[(0, 0), (1, 0)]),
+     (((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),),
+     "PointConfiguration(points=((Fraction(0, 1), Fraction(0, 1)), "
+     "(Fraction(1, 1), Fraction(0, 1))))"),
+    (MultiplicityPartition((2, 1)), MultiplicityPartition(parts=(2, 1)), ((2, 1),),
+     "MultiplicityPartition(parts=(2, 1))"),
+    (FnfLabel((1, 2), ((1,), (1, 1))),
+     FnfLabel(beta=OrderedPartition((1, 2)), gamma=[(1,), (1, 1)]),
+     (OrderedPartition((1, 2)), (OrderedPartition((1,)), OrderedPartition((1, 1)))),
+     "FnfLabel(beta=OrderedPartition((1, 2)), "
+     "gamma=(OrderedPartition((1,)), OrderedPartition((1, 1))))"),
+    (metamatrix(2), MetaMatrix(n=2, entries=[[1, 1], [1, 2]]), (2, ((1, 1), (1, 2))),
+     "MetaMatrix(n=2, entries=((1, 1), (1, 2)))"),
+    (det_metamatrix(2), DetReport(n=2, closed_form=Fraction(1), direct=1, integral=True,
+                                  equal=True),
+     (2, Fraction(1), 1, True, True),
+     "DetReport(n=2, closed_form=Fraction(1, 1), direct=1, integral=True, equal=True)"),
+    (HomologyProfile.sphere(1), HomologyProfile(betti=((1, 1),), torsion=()),
+     (((1, 1),), ()), "HomologyProfile(betti=((1, 1),), torsion=())"),
+]
+
+
+@pytest.mark.parametrize("made, keyword, fields, text", CASES,
+                         ids=[type(case[0]).__name__ for case in CASES])
+def test_value_classes_keep_the_frozen_dataclass_contract(made, keyword, fields, text):
+    cls = type(made)
+    assert made == keyword and not made != keyword
+    assert tuple(getattr(made, name) for name in cls.__slots__) == fields
+    # the hash of the field tuple, as a frozen dataclass had it
+    assert hash(made) == hash(keyword) == hash(fields)
+    assert repr(made) == repr(keyword) == text
+    assert made != fields and made != object()
+    assert cls(*fields) == made
+    for name in cls.__slots__ + ("other",):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(made, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(made, name)
+    assert not hasattr(made, "__dict__")
+    for clone in (pickle.loads(pickle.dumps(made)), copy.copy(made), copy.deepcopy(made)):
+        assert type(clone) is cls and clone == made

@@ -405,9 +405,9 @@ def test_meet_check_builds_two_labels_per_group(monkeypatch):
     built = []
 
     class Counted(FnfLabel):
-        def __post_init__(self):
+        def __init__(self, beta, gamma):
             built.append(self)
-            super().__post_init__()
+            super().__init__(beta, gamma)
 
     monkeypatch.setattr(strata, "FnfLabel", Counted)
     report = meet_check(5)
