@@ -50,9 +50,16 @@ class ContingencyMatrix:
     any other row is copied.  ``check=False`` trusts the caller to pass a
     valid grid of integer entries and only turns the rows into tuples,
     reusing row tuples as they are.
+
+    A matrix is an element of CM_n exactly when its weight is n, so the
+    order queries of ``CmPoset`` take it as it is.  Its cut mask
+    (``_cut_mask``), which decides the contraction order, is made from its
+    rows on the first order query that reads it and kept in the ``_mask``
+    slot; 0 means not made yet, since bit 0 of a cut mask is always set.
+    The mask plays no part in ``==``, ``hash``, ``repr`` or a copy.
     """
 
-    __slots__ = ("rows", "p", "q", "weight")
+    __slots__ = ("rows", "p", "q", "weight", "_mask")
 
     def __init__(self, rows, check=True):
         if check:
@@ -77,9 +84,23 @@ class ContingencyMatrix:
         object.__setattr__(self, "p", len(rows))
         object.__setattr__(self, "q", len(rows[0]))
         object.__setattr__(self, "weight", sum(map(sum, rows)))
+        object.__setattr__(self, "_mask", 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ContingencyMatrix is immutable")
+
+    def __reduce__(self):
+        # the rows alone: a copy makes its own cut mask
+        return ContingencyMatrix, (self.rows, False)
+
+    def _made_mask(self):
+        """The cut mask, made from the rows and kept; read ``_mask`` first."""
+        mask = _cut_mask(self.rows, self.weight)
+        object.__setattr__(self, "_mask", mask)
+        return mask
 
     def __eq__(self, other):
         return isinstance(other, ContingencyMatrix) and self.rows == other.rows
@@ -407,7 +428,7 @@ def _cut_mask(rows, n):
 class _CoverView:
     """A read-only view of every cover as (child, parent, kind, position),
     read off ``up`` through ``_walk``; it stores no cover.  Its length is
-    counted from the elements' shapes, so counting builds no ``up``.
+    counted from the census by size, so counting builds no ``up``.
     Indexing walks to the cover, so a caller that reads many should
     iterate."""
 
@@ -417,11 +438,7 @@ class _CoverView:
         self._poset = poset
 
     def __len__(self):
-        # a p x q element has p - 1 row merges and q - 1 column merges, all
-        # distinct and all in a set closed under contraction, so this is
-        # sum(map(len, up)) without building up
-        elements = self._poset.elements
-        return sum(m.p + m.q for m in elements) - 2 * len(elements)
+        return self._poset._cover_count
 
     def __iter__(self):
         return chain.from_iterable(self._poset._walk())
@@ -436,45 +453,104 @@ class _CoverView:
         return next(islice(self, k, None))
 
 
+def _order_query(horizontal, vertical):
+    """The order generated by contractions of the kinds named, as a method
+    on two elements of CM_n: the one order test of ``CmPoset``.
+
+    A matrix of weight n is an element as it stands; anything else goes
+    through ``element_index``.  A <= B exactly when every bit of B's cut
+    mask (``_cut_mask``) is one of A's.  If A <= B, B is A with
+    consecutive rows added into blocks and consecutive columns added into
+    blocks.  Adding keeps the cumulative sums at the cuts it keeps, so
+    every (R, C, S) of B is one of A's.  Conversely, if every (R, C, S) of
+    B is one of A's, then B's row and column cuts are among A's, and A has
+    B's cumulative sums S at B's cuts.  By inclusion-exclusion, each entry
+    of B is the sum of A's entries between two consecutive row cuts and
+    two consecutive column cuts of B, so B is A's block sum.  The
+    horizontal-only order keeps the columns and the vertical-only order
+    keeps the rows, which the test of p and q adds.
+    """
+
+    def query(self, small, large):
+        """small <= large in this order (``_order_query``)."""
+        n = self.n
+        if not (isinstance(small, ContingencyMatrix) and small.weight == n):
+            small = self.elements[self.element_index(small)]
+        if not (isinstance(large, ContingencyMatrix) and large.weight == n):
+            large = self.elements[self.element_index(large)]
+        if large.p != small.p and not (horizontal and large.p < small.p):
+            return False
+        if large.q != small.q and not (vertical and large.q < small.q):
+            return False
+        mask = large._mask or large._made_mask()
+        return (small._mask or small._made_mask()) & mask == mask
+
+    return query
+
+
+# the order test for each (horizontal, vertical) pair of kinds allowed
+_ORDERS = {
+    (horizontal, vertical): _order_query(horizontal, vertical)
+    for horizontal in (False, True)
+    for vertical in (False, True)
+}
+
+
 class CmPoset:
     """CM_n with its covers (single contractions) and the contraction order.
 
+    ``CmPoset(n)`` counts CM_n and its covers by size at once, and
+    enumerates ``elements``, CM_n in canonical order, on first read.  CM_n
+    is closed under contraction and transposition, which ``up`` relies on.
     ``up[i]``, the one record of the covers, holds the indices of i's
     parents: first contract(i, "horizontal", pos) for pos = 0, 1, ..., then
     contract(i, "vertical", pos), so a parent's place in ``up[i]`` gives the
     kind and position of its cover; ``_walk`` alone reads that layout,
     ``covers`` and ``anodyne_covers`` read ``_walk``, and the exports read
-    ``covers``.  ``up`` is built on first read and kept: the order
-    predicates read cut masks and ``len(covers)`` counts from the elements'
-    shapes, so neither builds it.  ``down[i]`` holds i's children in
-    element order; it is derived from ``up`` on first read and kept, since
-    only lower intervals and the sphericity check read it.  The contracted
-    matrix is the larger; ``leq`` decides the order by cut masks, each made
-    from its element's rows on first use.  ``elements`` must be closed
-    under contraction and under transposition, as CM_n is: a set not
-    closed under transposition is refused with a DomainError here, and
-    one not closed under contraction when ``up`` is built.
+    ``covers``.  ``up`` is built on first read and kept, and so is
+    ``down[i]``, i's children in element order, derived from ``up``; only
+    lower intervals and the sphericity check read ``down``.  ``index``,
+    the ``rows -> index`` dict, is built on first read by ``up`` or
+    ``element_index``.
+
+    The contracted matrix is the larger.  The order predicates ``cm_leq``,
+    ``cm_leq_horizontal`` and ``cm_leq_vertical`` take two matrices or raw
+    row lists; a matrix of weight n is an element as it stands, so a query
+    on matrices hashes nothing and builds none of ``elements``, ``index``
+    and ``up``.  ``leq(i, j, kinds)`` runs the same test on two elements.
+    Each decides the order by the cut masks that the matrices keep
+    (``ContingencyMatrix``), each made from its own rows, never from a
+    cover, so that a check of the covers by the order is a check.
     """
 
-    def __init__(self, n, elements):
+    def __init__(self, n):
+        # the census by size refuses a bad n as enumerate_cm would, and
+        # counts CM_n and its covers without enumerating it: a p x q
+        # element has p - 1 row merges and q - 1 column merges, all
+        # distinct and all in CM_n
+        sizes = count_cm_by_size(n)
         self.n = n
-        self.elements = elements = tuple(elements)
-        self.index = index = {m.rows: i for i, m in enumerate(elements)}
-        if not all(tuple(zip(*m.rows)) in index for m in elements):
-            raise DomainError("elements must be closed under transposition")
-        self._masks = [None] * len(elements)
+        self._size = sum(sizes.values())
+        self._cover_count = sum((p + q - 2) * k for (p, q), k in sizes.items())
+
+    @cached_property
+    def elements(self):
+        """CM_n in canonical order, enumerated on first read."""
+        return tuple(enumerate_cm(self.n))
+
+    @cached_property
+    def index(self):
+        """``index[rows]``: the element index of the matrix with these rows."""
+        return {m.rows: i for i, m in enumerate(self.elements)}
 
     @cached_property
     def up(self):
         """``up[i]``: i's parents, row merges first, then column merges."""
         elements, index = self.elements, self.index
-        try:
-            up = [
-                tuple([index[_merge_rows(m.rows, pos)] for pos in range(m.p - 1)])
-                for m in elements
-            ]
-        except KeyError:
-            raise DomainError("elements must be closed under contraction") from None
+        up = [
+            tuple([index[_merge_rows(m.rows, pos)] for pos in range(m.p - 1)])
+            for m in elements
+        ]
         # merging columns i, i+1 of A is merging rows i, i+1 of A's
         # transpose, transposed back; up[t] begins with t's row merges
         transpose = [index[tuple(zip(*m.rows))] for m in elements]
@@ -514,72 +590,34 @@ class CmPoset:
         return _CoverView(self)
 
     def __len__(self):
-        return len(self.elements)
+        return self._size
 
     def element_index(self, matrix):
-        rows = matrix.rows if isinstance(matrix, ContingencyMatrix) else tuple(
-            tuple(r) for r in matrix
-        )
+        """The index of this matrix or raw row list; DomainError for
+        anything that is not an element of CM_n."""
+        rows = matrix
         try:
+            if isinstance(matrix, ContingencyMatrix):
+                rows = matrix.rows
+            else:
+                rows = tuple(map(tuple, matrix))
             return self.index[rows]
-        except KeyError:
-            raise DomainError(f"matrix {rows} is not an element of CM_{self.n}")
+        except (KeyError, TypeError):
+            raise DomainError(f"matrix {rows} is not an element of CM_{self.n}") from None
 
     def rank(self, i):
         m = self.elements[i]
         return 2 * self.n - (m.p + m.q)
 
-    def _mask(self, i):
-        """Element i's cut mask, made from its own rows, never from a cover,
-        so that a check of the covers by ``leq`` is a check."""
-        mask = self._masks[i] = _cut_mask(self.elements[i].rows, self.n)
-        return mask
-
     def leq(self, i, j, kinds=KINDS):
-        """Element i <= element j, following contractions of these kinds.
+        """Element i <= element j, following contractions of these kinds;
+        the test is ``_order_query``'s."""
+        order = _ORDERS[HORIZONTAL in kinds, VERTICAL in kinds]
+        return order(self, self.elements[i], self.elements[j])
 
-        A <= B exactly when every bit of B's cut mask (``_cut_mask``) is
-        one of A's.  If A <= B, B is A with consecutive rows added into
-        blocks and consecutive columns added into blocks.  Adding keeps the
-        cumulative sums at the cuts it keeps, so every (R, C, S) of B is one
-        of A's.  Conversely, if every (R, C, S) of B is one of A's, then B's
-        row and column cuts are among A's, and A has B's cumulative sums S
-        at B's cuts.  By inclusion-exclusion, each entry of B is the sum of
-        A's entries between two consecutive row cuts and two consecutive
-        column cuts of B, so B is A's block sum.  The horizontal-only order
-        keeps the columns and the vertical-only order keeps the rows, which
-        the test of p and q adds.
-        """
-        a, b = self.elements[i], self.elements[j]
-        rows_ok = b.p == a.p or (b.p < a.p and HORIZONTAL in kinds)
-        columns_ok = b.q == a.q or (b.q < a.q and VERTICAL in kinds)
-        if not (rows_ok and columns_ok):
-            return False
-        masks = self._masks
-        mask_a = masks[i] or self._mask(i)
-        mask_b = masks[j] or self._mask(j)
-        return mask_a & mask_b == mask_b
-
-    def _query(self, small, large, kinds):
-        """``leq`` on two matrices or raw row lists; DomainError for a
-        matrix that is not an element.  Two matrices are looked up here;
-        ``element_index`` takes raw row lists and words the error."""
-        index = self.index
-        try:
-            i, j = index[small.rows], index[large.rows]
-        except (AttributeError, KeyError):
-            i, j = self.element_index(small), self.element_index(large)
-        return self.leq(i, j, kinds)
-
-    def cm_leq(self, small, large):
-        """The order generated by contractions of both kinds."""
-        return self._query(small, large, KINDS)
-
-    def cm_leq_horizontal(self, small, large):
-        return self._query(small, large, (HORIZONTAL,))
-
-    def cm_leq_vertical(self, small, large):
-        return self._query(small, large, (VERTICAL,))
+    cm_leq = _ORDERS[True, True]
+    cm_leq_horizontal = _ORDERS[True, False]
+    cm_leq_vertical = _ORDERS[False, True]
 
     def anodyne_covers(self, kinds=KINDS):
         """Yield the anodyne covers of these kinds in ``covers`` order, as
@@ -598,7 +636,7 @@ class CmPoset:
 def build_poset(n):
     """Enumerate CM_n; its covers are recorded when ``up`` is first read."""
     guard(n, POSET_CAP, "contingency poset construction")
-    return CmPoset(n, enumerate_cm(n))
+    return CmPoset(n)
 
 
 def poset_covers_json(poset):

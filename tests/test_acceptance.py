@@ -254,7 +254,9 @@ def test_criterion_13_census_by_size_matches_enumeration():
 def test_criterion_14_poset_memory():
     # the traced peak of building CM_5 and counting its covers: about
     # 1.5 MB with only up kept, 3.3 MB when down and a cover tuple were
-    # built as well; tracemalloc counts this process's allocations alone
+    # built as well, 0.28 MB since the census by size counts the covers
+    # and the elements wait for their first read; tracemalloc counts this
+    # process's allocations alone
     build_poset(2)
     gc.collect()
     tracemalloc.start()
@@ -291,3 +293,32 @@ def test_criterion_15_order_queries_build_no_cover_record():
     report(15, f"build_poset(5), {len(answers):,} order queries and {covers:,} covers "
                f"peak at {peak:,} < 1.35 MB traced",
            covers == 15912 and "up" not in vars(poset) and peak < 1_350_000)
+
+
+def test_criterion_16_order_queries_on_matrices_build_no_index():
+    # the traced peak of building CM_5, 1,000 seeded order queries of each
+    # kind on its matrices and counting the covers: about 1.07 MB with the
+    # cut masks kept on the matrices and no rows -> index dict, 1.29 MB
+    # when build_poset built that dict and a mask list
+    build_poset(2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        poset = build_poset(5)
+        rng = random.Random(16)
+        elements = poset.elements
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(1000)]
+        answers = [
+            query(a, b)
+            for query in (poset.cm_leq, poset.cm_leq_horizontal, poset.cm_leq_vertical)
+            for a, b in pairs
+        ]
+        covers = len(poset.covers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    built = [name for name in ("index", "up", "down") if name in vars(poset)]
+    report(16, f"build_poset(5), {len(answers):,} order queries on matrices and "
+               f"{covers:,} covers peak at {peak:,} < 1.15 MB traced, building "
+               f"{built or 'none'} of index, up and down",
+           covers == 15912 and not built and peak < 1_150_000)

@@ -64,6 +64,16 @@ def test_f_vector_weight_zero_is_malformed():
     assert "weight must be positive" in proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_poset_weight_zero_is_malformed_before_any_output(fmt):
+    # the poset refuses the weight when it is made, not when the report
+    # writer first reads its elements
+    proc = run_cli("--stable", "poset", "--n", "0", "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "weight must be positive" in proc.stderr
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sphericity_jobs_below_one(jobs, capsys):
     assert cli.main(["--stable", "sphericity", "--n", "2", "--jobs", jobs]) == 2

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -96,6 +98,32 @@ def test_checked_constructor_keeps_exact_int_tuple_rows():
     for rows in (((1, 0), (2, 1)), [[1, 0], [2, 1]], [(True, 0), (2, 1)]):
         checked, unchecked = cm(rows), ContingencyMatrix(((1, 0), (2, 1)), check=False)
         assert checked == unchecked and hash(checked) == hash(unchecked)
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_matrix_copies_are_equal_and_make_their_own_mask(copy_of):
+    poset = build_poset(2)
+    m = cm([[1, 0], [0, 1]])
+    assert poset.cm_leq(m, cm([[2]])) and m._mask
+    twin = copy_of(m)
+    assert type(twin) is ContingencyMatrix
+    assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+    assert (twin.p, twin.q, twin.weight) == (2, 2, 2)
+    # the mask is not carried over; the copy makes the same one
+    assert twin._mask == 0
+    assert poset.cm_leq(twin, cm([[2]])) and twin._mask == m._mask
+
+
+def test_matrix_fields_cannot_be_set_or_deleted():
+    m = cm([[1, 0], [0, 1]])
+    for name in ("rows", "p", "weight", "_mask"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(m, name)
+    assert m.rows == ((1, 0), (0, 1)) and m._mask == 0
 
 
 def test_margins_examples():
@@ -307,30 +335,19 @@ def test_covers_are_the_single_contractions():
         )
 
 
-def test_poset_refuses_elements_not_closed_under_transposition():
-    # the column merges are read off the row merges of the transposes:
-    # {(1 1), (2)} is closed under contraction but lacks the transpose of (1 1)
-    with pytest.raises(DomainError, match="^elements must be closed under transposition$"):
-        contingency.CmPoset(2, [cm([[1, 1]]), cm([[2]])])
-    poset = contingency.CmPoset(2, [cm([[1, 1]]), cm([[1], [1]]), cm([[2]])])
-    assert tuple(poset.covers) == ((0, 2, VERTICAL, 0), (1, 2, HORIZONTAL, 0))
-
-
-def test_poset_refuses_elements_not_closed_under_contraction():
-    # closed under transposition, so the set is taken; up, built on first
-    # read, finds that (1 1) contracts to (2), which is not an element
-    poset = contingency.CmPoset(2, [cm([[1, 1]]), cm([[1], [1]])])
-    assert poset.leq(0, 0) and not poset.leq(0, 1)
-    for read in (lambda: poset.up, lambda: poset.down, lambda: list(poset.covers)):
-        with pytest.raises(DomainError, match="^elements must be closed under contraction$"):
-            read()
-    assert "up" not in vars(poset)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_order_queries_and_cover_counts_do_not_build_up(n):
+    # a matrix of weight n is an element as it stands: queries on matrices
+    # build neither the rows -> index dict nor up, and the counts come
+    # from the census by size, so they enumerate nothing either
     poset = build_poset(n)
-    assert "up" not in vars(poset)
+    elements = tuple(enumerate_cm(n))
+    assert poset.cm_leq(elements[-1], elements[0])
+    assert poset.cm_leq_vertical(elements[0], elements[-1]) == (n == 1)
+    assert len(poset) == len(elements)
+    assert len(poset.covers) == sum(m.p + m.q - 2 for m in elements)
+    for built in ("elements", "index", "up", "down"):
+        assert built not in vars(poset)
     rng = random.Random(n)
     elements = poset.elements
     for _ in range(200):
@@ -338,10 +355,83 @@ def test_order_queries_and_cover_counts_do_not_build_up(n):
         poset.cm_leq(a, b)
         poset.cm_leq_horizontal(a, b)
         poset.cm_leq_vertical(a, b)
-        poset.cm_leq(b.rows, a.rows)
     assert poset.cm_leq(elements[-1], elements[0])
     assert len(poset.covers) == sum(m.p + m.q - 2 for m in elements)
+    for built in ("up", "down", "index"):
+        assert built not in vars(poset)
+    # a raw row list is looked up, which builds the index and nothing more
+    assert poset.cm_leq(list(map(list, elements[-1].rows)), elements[0].rows)
+    assert "index" in vars(poset)
     assert "up" not in vars(poset) and "down" not in vars(poset)
+
+
+class _CountedRows(tuple):
+    """Rows that count how often they are hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedRows.hashes += 1
+        return tuple.__hash__(self)
+
+
+def test_order_queries_on_matrices_hash_nothing():
+    poset = build_poset(4)
+    rng = random.Random(300)
+    matrices = []
+    for m in rng.sample(poset.elements, 40):
+        m = ContingencyMatrix(m.rows, check=False)
+        object.__setattr__(m, "rows", _CountedRows(m.rows))
+        matrices.append(m)
+    _CountedRows.hashes = 0
+    queries = (poset.cm_leq, poset.cm_leq_horizontal, poset.cm_leq_vertical)
+    answers = [rng.choice(queries)(rng.choice(matrices), rng.choice(matrices))
+               for _ in range(300)]
+    assert _CountedRows.hashes == 0
+    assert any(answers) and not all(answers)
+    assert "index" not in vars(poset)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_order_queries_on_fresh_matrices_match_block_sums(n):
+    # checked copies made from list rows, not the poset's own elements:
+    # each predicate agrees with the block-sum oracle and with leq
+    poset = build_poset(n)
+    fresh = [cm(list(map(list, m.rows))) for m in poset.elements]
+    predicates = (
+        (poset.cm_leq, KINDS),
+        (poset.cm_leq_horizontal, (HORIZONTAL,)),
+        (poset.cm_leq_vertical, (VERTICAL,)),
+    )
+    for i, a in enumerate(fresh):
+        assert a is not poset.elements[i] and a == poset.elements[i]
+        for j, b in enumerate(fresh):
+            for query, kinds in predicates:
+                want = block_sum_leq(a, b, kinds)
+                assert query(a, b) == want == poset.leq(i, j, kinds), (kinds, a, b)
+    assert "index" not in vars(poset)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_poset_of_n_is_cm_n(n):
+    # the constructor counts CM_n and its covers by size and enumerates
+    # CM_n itself on first read; its covers are the checked contractions
+    poset = contingency.CmPoset(n)
+    assert poset.n == n
+    size, cover_count = len(poset), len(poset.covers)
+    assert poset.elements == tuple(enumerate_cm(n))
+    assert size == len(poset.elements) == count_cm(n)
+    assert cover_count == sum(m.p + m.q - 2 for m in poset.elements)
+    if n <= 4:
+        assert poset.up == _eager_up(poset)
+
+
+def test_poset_refuses_a_bad_weight_at_once():
+    # the census refuses it in the constructor, before any element is read
+    with pytest.raises(DomainError, match="^weight must be positive, got 0$"):
+        contingency.CmPoset(0)
+    with pytest.raises(CapacityError, match="capped at 7"):
+        contingency.CmPoset(8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -369,10 +459,9 @@ def _down_from_walk(poset):
     return tuple(map(tuple, down))
 
 
-def _closed_up_set():
-    # the matrices of CM_4 with at most two rows and two columns: closed
-    # under contraction and under transposition
-    return contingency.CmPoset(4, [m for m in enumerate_cm(4) if m.p <= 2 and m.q <= 2])
+def _poset(n):
+    # None: CM_4 from the constructor itself, with no guard in front
+    return contingency.CmPoset(4) if n is None else build_poset(n)
 
 
 def _eager_up(poset):
@@ -385,7 +474,7 @@ def _eager_up(poset):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, None])
 def test_up_is_built_on_first_read(n):
-    poset = _closed_up_set() if n is None else build_poset(n)
+    poset = _poset(n)
     assert "up" not in vars(poset)
     want = _eager_up(poset)
     assert poset.up == want
@@ -401,8 +490,8 @@ def test_up_is_built_on_first_read(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, None])
 def test_cover_count_from_shapes_matches_up(n):
     # distinct merges of one matrix give distinct parents, all elements of
-    # a set closed under contraction, so each merge is one entry of up
-    poset = _closed_up_set() if n is None else build_poset(n)
+    # CM_n, so each merge counted from the census is one entry of up
+    poset = _poset(n)
     count = len(poset.covers)
     assert "up" not in vars(poset)
     assert count == sum(map(len, poset.up))
@@ -410,7 +499,7 @@ def test_cover_count_from_shapes_matches_up(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, None])
 def test_down_is_built_on_first_read(n):
-    poset = _closed_up_set() if n is None else build_poset(n)
+    poset = _poset(n)
     assert "down" not in vars(poset)
     want = _down_from_walk(poset)
     assert poset.down == want
@@ -419,7 +508,7 @@ def test_down_is_built_on_first_read(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, None])
 def test_covers_is_a_sized_view_of_the_walk(n):
-    poset = _closed_up_set() if n is None else build_poset(n)
+    poset = _poset(n)
     want = _walked_covers(poset)
     covers = poset.covers
     assert len(covers) == len(want) == sum(map(len, poset.up))
@@ -661,6 +750,22 @@ def test_leq_direction():
             for small, large in ((bad, fine), (fine, bad)):
                 with pytest.raises(DomainError, match=rf"matrix \({rows}\) is not an element"):
                     query(small, large)
+
+
+def test_non_elements_are_domain_errors():
+    poset = build_poset(2)
+    m = cm([[2]])
+    for query in (poset.cm_leq, poset.cm_leq_horizontal, poset.cm_leq_vertical):
+        for bad, shown in ((5, "5"), (None, "None"), ([[1, [2]]], r"\(\(1, \[2\]\),\)")):
+            for small, large in ((bad, m), (m, bad)):
+                with pytest.raises(DomainError,
+                                   match=rf"^matrix {shown} is not an element of CM_2$"):
+                    query(small, large)
+    for bad, shown in ((1.5, "1.5"), (None, "None"), ([[1, [2]]], r"\(\(1, \[2\]\),\)")):
+        with pytest.raises(DomainError, match=rf"^matrix {shown} is not an element of CM_2$"):
+            lower_interval(poset, bad)
+        with pytest.raises(DomainError, match=rf"^matrix {shown} is not an element of CM_2$"):
+            poset.element_index(bad)
 
 
 def test_json_and_dot_exports():
