@@ -18,11 +18,12 @@ adjacent columns.  Canonical element order is lexicographic on
 import itertools
 import operator
 from functools import cached_property
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, count, repeat
 from math import factorial
 from operator import add, lshift
 
 from .errors import DomainError
+from .frozen import Frozen
 from .limits import DOUBLE_COSET_CAP, ENUMERATION_CAP, POSET_CAP, guard
 from .partitions import OrderedPartition, as_partition, enumerate_ordered_partitions
 
@@ -41,7 +42,7 @@ def _exact_row(row):
     return tuple(map(operator.index, row))
 
 
-class ContingencyMatrix:
+class ContingencyMatrix(Frozen):
     """Immutable p x q nonnegative integer grid, no zero row or column.
 
     The default ``check=True`` takes each entry through ``operator.index``
@@ -56,7 +57,9 @@ class ContingencyMatrix:
     (``_cut_mask``), which decides the contraction order, is made from its
     rows on the first order query that reads it and kept in the ``_mask``
     slot; 0 means not made yet, since bit 0 of a cut mask is always set.
-    The mask plays no part in ``==``, ``hash``, ``repr`` or a copy.
+    A matrix is its rows alone: ``p``, ``q`` and ``weight`` are read off
+    them and the mask is a cache, so ``==``, ``hash``, ``repr`` and a copy
+    see only the rows.
     """
 
     __slots__ = ("rows", "p", "q", "weight", "_mask")
@@ -85,12 +88,6 @@ class ContingencyMatrix:
         object.__setattr__(self, "q", len(rows[0]))
         object.__setattr__(self, "weight", sum(map(sum, rows)))
         object.__setattr__(self, "_mask", 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContingencyMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ContingencyMatrix is immutable")
 
     def __reduce__(self):
         # the rows alone: a copy makes its own cut mask
@@ -428,9 +425,7 @@ def _cut_mask(rows, n):
 class _CoverView:
     """A read-only view of every cover as (child, parent, kind, position),
     read off ``up`` through ``_walk``; it stores no cover.  Its length is
-    counted from the census by size, so counting builds no ``up``.
-    Indexing walks to the cover, so a caller that reads many should
-    iterate."""
+    counted from the census by size, so counting builds no ``up``."""
 
     __slots__ = ("_poset",)
 
@@ -442,15 +437,6 @@ class _CoverView:
 
     def __iter__(self):
         return chain.from_iterable(self._poset._walk())
-
-    def __getitem__(self, k):
-        k = operator.index(k)
-        size = len(self)
-        if k < 0:
-            k += size
-        if not 0 <= k < size:
-            raise IndexError("cover index out of range")
-        return next(islice(self, k, None))
 
 
 def _order_query(horizontal, vertical):
@@ -643,16 +629,6 @@ def poset_covers_json(poset):
     """The covers as JSON objects, one at a time, in cover order."""
     for child, parent, kind, pos in poset.covers:
         yield {"from": child, "to": parent, "kind": kind, "pos": pos}
-
-
-def poset_to_json(poset):
-    """The poset as JSON; a matrix's rows stay tuples, which encode as
-    arrays."""
-    return {
-        "n": poset.n,
-        "elements": [{"rows": m.rows} for m in poset.elements],
-        "covers": list(poset_covers_json(poset)),
-    }
 
 
 def poset_to_dot(poset):

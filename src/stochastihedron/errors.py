@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer check that
+the value constructors share."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -11,3 +14,13 @@ class CapacityError(RuntimeError):
 
 class StructuralError(ValueError):
     """A composite object (representation, JSON payload) is malformed."""
+
+
+def exact_ints(values, error=DomainError):
+    """The values as a tuple of exact ints, each through ``operator.index``:
+    a float, string, Fraction or None raises ``error`` rather than being
+    truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise error(f"entries must be integers: {exc}") from exc

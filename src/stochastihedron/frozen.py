@@ -1,21 +1,47 @@
-"""The immutability shared by the library's small value classes.
+"""The value contract shared by the library's small value classes.
 
 Each value class lists its fields in ``__slots__``, in constructor order,
 and its own ``__init__`` validates them and sets each once through
-``object.__setattr__``; it writes its own ``__eq__``, ``__hash__`` and
-``__repr__``.  This base only refuses later writes and lets ``pickle`` and
-``copy`` rebuild an instance through its constructor.
+``object.__setattr__``.  This base derives the rest from the slots: a value
+is its class plus its fields, so two instances are equal when they share a
+class and their field tuples are equal, the hash is the hash of the field
+tuple, and the repr is the keyword form ``Name(field=value, ...)``.  It
+refuses later writes, and lets ``pickle`` and ``copy`` rebuild an instance
+through its constructor.  ``OrderedPartition`` keeps a positional repr, and
+``ContingencyMatrix``, whose identity is its rows alone, writes its own
+``==``, hash, repr and reduce.
 """
 
 
 class Frozen:
     __slots__ = ()
 
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__name__}({fields})"
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(
+            f"cannot assign to field {name!r} of immutable {type(self).__name__}"
+        )
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(
+            f"cannot delete field {name!r} of immutable {type(self).__name__}"
+        )
 
     def __reduce__(self):
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+        return type(self), self._fields()

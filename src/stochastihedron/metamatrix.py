@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import contingency
-from .errors import DomainError
+from .errors import DomainError, exact_ints
 from .frozen import Frozen
 from .limits import (
     DET_DIRECT_CAP,
@@ -112,7 +112,7 @@ class MetaMatrix(Frozen):
     __slots__ = ("n", "entries")  # entries[p-1][q-1], 1-based sizes
 
     def __init__(self, n, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(map(exact_ints, entries))
         if len(entries) != n or any(len(row) != n for row in entries):
             raise DomainError(f"meta-matrix of weight {n} must be {n}x{n}")
         if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i)):
@@ -121,17 +121,6 @@ class MetaMatrix(Frozen):
             raise DomainError("corner counts are wrong for a meta-matrix")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.entries) == (other.n, other.entries)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.entries))
-
-    def __repr__(self):
-        return f"MetaMatrix(n={self.n!r}, entries={self.entries!r})"
 
     def entry(self, p, q):
         """1-based access: the number of p x q matrices."""
@@ -311,24 +300,6 @@ class DetReport(Frozen):
         object.__setattr__(self, "direct", direct)
         object.__setattr__(self, "integral", integral)
         object.__setattr__(self, "equal", equal)
-
-    def _fields(self):
-        return (self.n, self.closed_form, self.direct, self.integral, self.equal)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"DetReport(n={self.n!r}, closed_form={self.closed_form!r}, "
-            f"direct={self.direct!r}, integral={self.integral!r}, "
-            f"equal={self.equal!r})"
-        )
 
 
 def det_metamatrix(n):

@@ -9,7 +9,7 @@ Indexing is 0-based: ``contract_partition(alpha, i)`` merges parts i and
 i+1.  Enumeration is in lexicographic order of the parts sequence.
 """
 
-from .errors import DomainError
+from .errors import DomainError, exact_ints
 from .frozen import Frozen
 from .limits import PARTITION_CAP, guard
 
@@ -18,20 +18,12 @@ class OrderedPartition(Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(a) for a in parts)
+        parts = exact_ints(parts)
         if not parts:
             raise DomainError("an ordered partition needs at least one part")
         if any(a < 1 for a in parts):
             raise DomainError(f"parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
 
     @property
     def weight(self):

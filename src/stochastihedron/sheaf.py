@@ -25,7 +25,7 @@ from math import lcm
 from operator import mul
 
 from .contingency import HORIZONTAL, VERTICAL, CmPoset, build_poset
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, exact_ints
 from .limits import CONSTANT_SHEAF_CAP, SHEAF_DIM_CAP, guard
 from .exactlinalg import determinant, parse_rational
 
@@ -53,7 +53,7 @@ class PosetRepresentation:
         if not isinstance(poset, CmPoset):
             raise StructuralError("representation needs a CmPoset base")
         self.poset = poset
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = exact_ints(dims, StructuralError)
         if len(self.dims) != len(poset):
             raise StructuralError(
                 f"need one dimension per element ({len(poset)}), got {len(self.dims)}"

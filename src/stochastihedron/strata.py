@@ -35,7 +35,7 @@ from .contingency import (
     _cm_rows,
     build_poset,
 )
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, exact_ints
 from .exactlinalg import parse_rational
 from .frozen import Frozen
 from .limits import ANODYNE_CAP, MEET_CAP, guard
@@ -52,17 +52,6 @@ class PointConfiguration(Frozen):
         if not pts:
             raise DomainError("a configuration needs at least one point")
         object.__setattr__(self, "points", pts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.points == other.points
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.points,))
-
-    def __repr__(self):
-        return f"PointConfiguration(points={self.points!r})"
 
     def to_json(self):
         return {
@@ -90,23 +79,12 @@ class MultiplicityPartition(Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(a) for a in parts)
+        parts = exact_ints(parts)
         if not parts or any(a < 1 for a in parts):
             raise DomainError(f"parts must be positive, got {parts}")
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise DomainError(f"parts must be non-increasing, got {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"MultiplicityPartition(parts={self.parts!r})"
 
     @property
     def weight(self):
@@ -141,17 +119,6 @@ class FnfLabel(Frozen):
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.beta, self.gamma) == (other.beta, other.gamma)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.beta, self.gamma))
-
-    def __repr__(self):
-        return f"FnfLabel(beta={self.beta!r}, gamma={self.gamma!r})"
-
     @property
     def weight(self):
         return self.beta.weight
@@ -177,7 +144,7 @@ class FnfLabel(Frozen):
 
 def compress(values):
     """Drop zero components, keeping order: the op() of a count vector."""
-    values = tuple(int(x) for x in values)
+    values = exact_ints(values)
     if any(x < 0 for x in values):
         raise DomainError(f"counts must be nonnegative, got {values}")
     parts = tuple(x for x in values if x > 0)

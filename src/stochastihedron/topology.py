@@ -80,17 +80,6 @@ class HomologyProfile(Frozen):
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "torsion", torsion)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.betti, self.torsion) == (other.betti, other.torsion)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.betti, self.torsion))
-
-    def __repr__(self):
-        return f"HomologyProfile(betti={self.betti!r}, torsion={self.torsion!r})"
-
     @classmethod
     def make(cls, betti_by_degree, torsion_by_degree):
         betti = tuple(sorted((d, b) for d, b in betti_by_degree.items() if b))

@@ -266,10 +266,35 @@ def test_poset_exports():
             ("sphericity", "--n", "4", "--full"),
             "5483c17eee6be83bbcb7bbe0ac817936ae3d15c781fab239b83d3e8f476527c1",
         ),
+        (
+            ("verify-identities", "--n", "6"),
+            "ae86be7925e785cab4a3d1eec5f5327e5872d224e4b1f5f714f810c63bb034ef",
+        ),
+        (
+            ("metamatrix", "--n", "6"),
+            "ec58758448c439156ca271c2249b989721f34e94bfe75cebd894a83e7dc7d88a",
+        ),
+        (
+            ("total-positivity", "--n", "5"),
+            "64cd67944c56ab33dcd3ef5e34bfa7901d76d34ed4b6842326c14b9482962902",
+        ),
+        (
+            ("f-vector", "--n", "7"),
+            "fd6e3109de47c116ba469dddb925aefc8ba2ccd3c71a9ee43c5154e689a3c6f0",
+        ),
+        (
+            ("enumerate", "--what", "partitions", "--n", "5"),
+            "5a11c1ad70dccb4d3266b87dc0934b78936b17324511af139f87696d95e57d8b",
+        ),
+        (
+            ("constant-sheaf", "--n", "3", "--dim", "1"),
+            "d65260c24b40fa1e1c3de5b4258a39d3de24fc5fb8cf084bf19676e7fba0d9b9",
+        ),
     ],
 )
 def test_stable_report_bytes_are_pinned(argv, digest):
-    # the covers' order, kinds and positions reach these bytes
+    # the covers' order, kinds and positions reach these bytes, and so do
+    # the value classes' fields (DetReport, MetaMatrix, OrderedPartition)
     proc = run_cli("--stable", *argv)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

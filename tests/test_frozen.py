@@ -4,9 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from stochastihedron.contingency import build_poset, count_cm
+from stochastihedron.errors import DomainError, StructuralError
 from stochastihedron.metamatrix import DetReport, MetaMatrix, det_metamatrix, metamatrix
 from stochastihedron.partitions import OrderedPartition
-from stochastihedron.strata import FnfLabel, MultiplicityPartition, PointConfiguration
+from stochastihedron.sheaf import PosetRepresentation
+from stochastihedron.strata import (
+    FnfLabel,
+    MultiplicityPartition,
+    PointConfiguration,
+    compress,
+)
 from stochastihedron.topology import HomologyProfile
 
 # each value class, built positionally and by keyword, with its fields in
@@ -55,3 +63,35 @@ def test_value_classes_keep_the_frozen_dataclass_contract(made, keyword, fields,
     assert not hasattr(made, "__dict__")
     for clone in (pickle.loads(pickle.dumps(made)), copy.copy(made), copy.deepcopy(made)):
         assert type(clone) is cls and clone == made
+
+
+def test_equal_fields_of_two_classes_are_two_values():
+    ordered, multiplicity = OrderedPartition((2, 1)), MultiplicityPartition((2, 1))
+    assert hash(ordered) == hash(multiplicity)
+    assert ordered != multiplicity and multiplicity != ordered
+    assert not ordered == multiplicity
+    assert len({ordered, multiplicity}) == 2
+
+
+# each constructor that takes integers, as a function of one entry, which
+# 1 fills validly; and the error it raises for a non-integer entry
+INTEGER_INPUTS = {
+    "OrderedPartition": (lambda x: OrderedPartition((x, 1)), DomainError),
+    "MultiplicityPartition": (lambda x: MultiplicityPartition((x,)), DomainError),
+    "compress": (lambda x: compress((0, x, 2)), DomainError),
+    "MetaMatrix": (lambda x: MetaMatrix(1, [[x]]), DomainError),
+    "PosetRepresentation": (
+        lambda x: PosetRepresentation(build_poset(1), [x], {}), StructuralError),
+    "FnfLabel": (lambda x: FnfLabel((x,), ((1,),)), DomainError),
+    "count_cm": (lambda x: count_cm(alpha=(x, 1)), DomainError),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, "3", Fraction(3), None],
+                         ids=["float", "str", "Fraction", "None"])
+@pytest.mark.parametrize("name", INTEGER_INPUTS)
+def test_constructors_refuse_non_integers(name, value):
+    build, error = INTEGER_INPUTS[name]
+    build(1)
+    with pytest.raises(error, match="entries must be integers"):
+        build(value)

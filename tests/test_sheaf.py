@@ -361,5 +361,5 @@ def test_constructor_takes_what_fraction_takes(poset2, entry, stored):
     assert set(rep.cover_maps.values()) == {(((numerator,),), den)}
     assert all(type(x) is int for (rows, _) in rep.cover_maps.values()
                for row in rows for x in row)
-    child, parent, _, _ = poset2.covers[0]
+    child, parent, _, _ = next(iter(poset2.covers))
     assert rep.map_for(child, parent) == ((Fraction(numerator, den),),)
