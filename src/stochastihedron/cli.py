@@ -16,6 +16,9 @@ human-readable summary instead.
 Exit code 0 when the command's check passes, 1 when a verification fails,
 2 for usage or malformed-input errors, 3 when a capacity guard trips, and
 141 (128 + SIGPIPE) when stdout is closed before the report is written.
+
+Each handler imports the library modules it uses, so a run loads only
+those; at module level sit the errors, the caps and the report writer.
 """
 
 import argparse
@@ -25,28 +28,20 @@ import sys
 import time
 from collections.abc import Iterator
 
-from . import contingency, sheaf, strata, topology
 from .errors import CapacityError, DomainError, StructuralError
 from .jsonwriter import write_json
 from .limits import (
     ANODYNE_CAP,
+    ANODYNE_KINDS,
     CONSTANT_SHEAF_CAP,
     ENUMERATION_CAP,
     MEET_CAP,
     METAMATRIX_CAP,
     POSET_CAP,
     SPHERICITY_CAP,
+    STRATIFICATIONS,
     effective_cap,
 )
-from .metamatrix import (
-    det_metamatrix,
-    guard_positivity_scan,
-    metamatrix,
-    total_count,
-    total_positivity,
-    verify_factorizations,
-)
-from .partitions import enumerate_ordered_partitions
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -102,6 +97,8 @@ def _refused_census(args):
         and n is not None
         and effective_cap(cap) < n <= METAMATRIX_CAP
     ):
+        from .counting import total_count
+
         return f"; |CM_{n}| = {total_count(n):,}"
     return ""
 
@@ -113,15 +110,19 @@ def _cmd_enumerate(args):
     if args.what == "partitions":
         if args.n is None:
             raise DomainError("enumerating partitions needs --n")
+        from .partitions import enumerate_ordered_partitions
+
         parts = enumerate_ordered_partitions(args.n, args.p)
         return True, {
             "claim": "ordered-partition-census",
             "count": len(parts),
             "partitions": [p.to_json() for p in parts],
         }
+    from .contingency import enumerate_cm
+
     alpha = _parse_partition(args.alpha) if args.alpha else None
     beta = _parse_partition(args.beta) if args.beta else None
-    matrices = contingency.enumerate_cm(args.n, args.p, args.q, alpha, beta)
+    matrices = enumerate_cm(args.n, args.p, args.q, alpha, beta)
     return True, {
         "claim": "contingency-census",
         "count": len(matrices),
@@ -130,6 +131,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_poset(args):
+    from . import contingency
+
     poset = contingency.build_poset(args.n)
     if args.format == "dot":
         return True, {"claim": "contraction-poset", "dot": contingency.poset_to_dot(poset)}
@@ -161,7 +164,9 @@ def _cmd_sphericity(args):
     # --jobs is accepted for compatibility and ignored: the check is serial
     if args.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {args.jobs}")
-    report = topology.verify_sphericity(args.n, _sphericity_progress())
+    from .topology import verify_sphericity
+
+    report = verify_sphericity(args.n, _sphericity_progress())
     details = {
         "claim": "lower-intervals-are-spheres",
         "n": report["n"],
@@ -174,7 +179,9 @@ def _cmd_sphericity(args):
 
 
 def _cmd_f_vector(args):
-    fv = topology.f_vector(args.n)
+    from .counting import f_vector
+
+    fv = f_vector(args.n)
     total = sum(fv.values())
     euler = sum((-1) ** d * c for d, c in fv.items())
     return euler == 1, {
@@ -187,6 +194,8 @@ def _cmd_f_vector(args):
 
 
 def _cmd_metamatrix(args):
+    from .counting import metamatrix
+
     matrix = metamatrix(args.n, args.method)
     if args.format == "csv":
         return True, {"claim": "meta-matrix", "n": args.n, "csv": matrix.to_csv()}
@@ -194,6 +203,10 @@ def _cmd_metamatrix(args):
 
 
 def _cmd_verify_identities(args):
+    from .contingency import count_cm
+    from .counting import total_count
+    from .identities import det_metamatrix, verify_factorizations
+
     n = args.n
     facts = verify_factorizations(n)
     det = det_metamatrix(n)
@@ -211,7 +224,7 @@ def _cmd_verify_identities(args):
         },
     }
     try:
-        enum_total = contingency.count_cm(n)
+        enum_total = count_cm(n)
         checks["total_vs_enumeration"] = total_count(n) == enum_total
         details["total"] = enum_total
     except CapacityError:
@@ -221,6 +234,9 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_total_positivity(args):
+    from .counting import metamatrix
+    from .identities import guard_positivity_scan, total_positivity
+
     guard_positivity_scan(args.n)
     matrix = metamatrix(args.n)
     ok, witness = total_positivity(matrix)
@@ -237,12 +253,16 @@ def _cmd_total_positivity(args):
 
 
 def _cmd_classify(args):
+    from . import strata
+
     config = strata.PointConfiguration.from_json(_load_json(args.input))
     return True, {"claim": "configuration-classification", **strata.classify(config)}
 
 
 def _cmd_anodyne_classes(args):
-    report = strata.anodyne_classes(args.n, strata.ANODYNE_KINDS[args.kind])
+    from . import strata
+
+    report = strata.anodyne_classes(args.n, ANODYNE_KINDS[args.kind])
     details = {
         "claim": "anodyne-classes-match-label-fibers",
         "n": report["n"],
@@ -260,6 +280,8 @@ def _cmd_anodyne_classes(args):
 
 
 def _cmd_meet_join(args):
+    from . import strata
+
     meet = strata.meet_check(args.n)
     details = {
         "claim": "label-pair-meet-and-anodyne-join",
@@ -288,6 +310,8 @@ def _cmd_meet_join(args):
 
 
 def _cmd_sheaf_check(args):
+    from . import sheaf
+
     rep = sheaf.PosetRepresentation.from_json(_load_json(args.input))
     validation = sheaf.validate(rep)
     details = {
@@ -307,6 +331,8 @@ def _cmd_sheaf_check(args):
 
 
 def _cmd_constant_sheaf(args):
+    from . import sheaf
+
     rep = sheaf.constant_sheaf(args.n, args.dim)
     valid = sheaf.validate(rep)["valid"]
     return valid, {"claim": "constant-sheaf", "representation": rep.to_json()}
@@ -376,7 +402,7 @@ def build_parser():
 
     p = sub.add_parser("anodyne-classes", help="anodyne equivalence classes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=tuple(strata.ANODYNE_KINDS), default="both")
+    p.add_argument("--kind", choices=tuple(ANODYNE_KINDS), default="both")
     p.add_argument("--full", action="store_true", help="include the classes")
     p.set_defaults(handler=_cmd_anodyne_classes)
 
@@ -386,7 +412,7 @@ def build_parser():
 
     p = sub.add_parser("sheaf-check", help="constructibility of a representation")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--strat", choices=sheaf.STRATIFICATIONS, default="complex")
+    p.add_argument("--strat", choices=STRATIFICATIONS, default="complex")
     p.set_defaults(handler=_cmd_sheaf_check)
 
     p = sub.add_parser("constant-sheaf", help="emit a constant representation")

@@ -24,11 +24,16 @@ from operator import add, lshift
 
 from .errors import DomainError
 from .frozen import Frozen
-from .limits import DOUBLE_COSET_CAP, ENUMERATION_CAP, POSET_CAP, guard
+from .limits import (
+    DOUBLE_COSET_CAP,
+    ENUMERATION_CAP,
+    HORIZONTAL,
+    POSET_CAP,
+    VERTICAL,
+    guard,
+)
 from .partitions import OrderedPartition, as_partition, enumerate_ordered_partitions
 
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
 KINDS = (HORIZONTAL, VERTICAL)
 
 

@@ -12,24 +12,34 @@ through its constructor.  ``OrderedPartition`` keeps a positional repr, and
 ``==``, hash, repr and reduce.
 """
 
+from operator import attrgetter
+
 
 class Frozen:
     __slots__ = ()
 
-    def _fields(self):
-        return tuple(map(self.__getattribute__, self.__slots__))
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # _fields(value) is the field tuple, read by one attrgetter per class
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            # attrgetter of one name returns the bare value, not a 1-tuple
+            cls._fields = staticmethod(lambda value: (get(value),))
+        else:
+            cls._fields = staticmethod(get)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
+        values = self._fields(self)
         fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+            f"{name}={value!r}" for name, value in zip(self.__slots__, values)
         )
         return f"{type(self).__name__}({fields})"
 
@@ -44,4 +54,4 @@ class Frozen:
         )
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)

@@ -1,19 +1,17 @@
-"""The contingency meta-matrix and its exact identities.
+"""The exact identities of the contingency meta-matrix.
 
-M(n) is the n x n integer matrix whose (p, q) entry counts contingency
-matrices of size p x q and weight n.  It sits inside a web of exact
-identities tying it to Pascal, Vandermonde and Stirling matrices:
+M(n) (see ``counting``) sits inside a web of exact identities tying it to
+Pascal, Vandermonde and Stirling matrices:
 
     P M P^t = B                  with B_pq = C(n+pq-1, n),
     M = (1/n!) Q diag(c) Q^t     with Q = P^{-1} V, Q_pk = p! S(k,p),
     V = P diag(1!..n!) S,
     M = (1/n!) S* diag((k!)^2 c) S*^t,
     det M = n! prod c(n,i) / prod C(n,i)    (i = 1..n-1),
-    sum M = (1/n!) sum_k c(n,k) F(k)^2,
 
-where c(n,k) are unsigned Stirling numbers of the first kind, S(k,p) of
-the second kind, and F the Fubini numbers.  All indices here are 1-based
-to match the row/column semantics of the counts; all arithmetic is exact.
+where c(n,k) are unsigned Stirling numbers of the first kind and S(k,p)
+of the second kind.  All indices here are 1-based to match the row/column
+semantics of the counts; all arithmetic is exact.
 
 M(n) is totally positive: every minor of every size is strictly positive.
 ``total_positivity`` verifies this literally by scanning all minors.
@@ -24,17 +22,8 @@ import operator
 from fractions import Fraction
 from math import comb, factorial
 
-from . import contingency
-from .errors import DomainError, exact_ints
-from .frozen import Frozen
-from .limits import (
-    DET_DIRECT_CAP,
-    ENUMERATION_CAP,
-    METAMATRIX_CAP,
-    RATIONAL_IDENTITY_CAP,
-    TOTAL_POSITIVITY_CAP,
-    guard,
-)
+from .counting import MetaMatrix, metamatrix, stirling_first, stirling_second
+from .errors import DomainError
 from .exactlinalg import (
     determinant,
     diagonal,
@@ -45,147 +34,14 @@ from .exactlinalg import (
     mat_scale,
     mat_transpose,
 )
-
-
-# ---------------------------------------------------------------------------
-# counting primitives
-
-def stirling_first(n, k):
-    """Unsigned Stirling number of the first kind, c(n, k).
-
-    Coefficient of x^k in x(x+1)(x+2)...(x+n-1), by polynomial expansion.
-    """
-    if n < 0 or k < 0:
-        raise DomainError("indices must be nonnegative")
-    coeffs = [1]  # the empty product
-    for m in range(n):
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] += m * coeffs[i + 1]
-    return coeffs[k] if k < len(coeffs) else 0
-
-
-def stirling_second(k, p):
-    """Stirling number of the second kind, S(k, p), from the alternating
-    sum: sum_i (-1)^(p-i) C(p,i) i^k = S(k,p) p!."""
-    if k < 0 or p < 0:
-        raise DomainError("indices must be nonnegative")
-    if p == 0:
-        return 1 if k == 0 else 0
-    total = sum((-1) ** (p - i) * comb(p, i) * i**k for i in range(p + 1))
-    assert total % factorial(p) == 0
-    return total // factorial(p)
-
-
-def fubini(k):
-    """Fubini (ordered Bell) number F(k) = sum_p p! S(k, p)."""
-    if k == 0:
-        return 1
-    return sum(factorial(p) * stirling_second(k, p) for p in range(1, k + 1))
-
-
-def generalized_count(n, p, q):
-    """Matrices of size p x q and weight n with zero rows/columns allowed:
-    C(n + pq - 1, n)."""
-    if n < 0 or p < 1 or q < 1:
-        raise DomainError("need n >= 0 and p, q >= 1")
-    return comb(n + p * q - 1, n)
-
-
-def metamatrix_entry(n, p, q):
-    """Count of p x q contingency matrices of weight n by inclusion-exclusion
-    over deleted zero rows and columns."""
-    return sum(
-        (-1) ** (i + j + p + q)
-        * comb(p, i)
-        * comb(q, j)
-        * comb(n + i * j - 1, n)
-        for i in range(1, p + 1)
-        for j in range(1, q + 1)
-    )
-
-
-# ---------------------------------------------------------------------------
-# the meta-matrix itself
-
-class MetaMatrix(Frozen):
-    __slots__ = ("n", "entries")  # entries[p-1][q-1], 1-based sizes
-
-    def __init__(self, n, entries):
-        entries = tuple(map(exact_ints, entries))
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise DomainError(f"meta-matrix of weight {n} must be {n}x{n}")
-        if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i)):
-            raise DomainError("meta-matrix must be symmetric")
-        if entries[0][0] != 1 or entries[n - 1][n - 1] != factorial(n):
-            raise DomainError("corner counts are wrong for a meta-matrix")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-
-    def entry(self, p, q):
-        """1-based access: the number of p x q matrices."""
-        return self.entries[p - 1][q - 1]
-
-    def total(self):
-        return sum(sum(row) for row in self.entries)
-
-    def to_csv(self):
-        return "\n".join(",".join(str(x) for x in row) for row in self.entries) + "\n"
-
-    def to_json(self):
-        return {"n": self.n, "entries": [list(r) for r in self.entries]}
-
-
-def metamatrix(n, method="inclusion_exclusion"):
-    """M(n) by either route; both must agree (tested against each other)."""
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
-    if method == "inclusion_exclusion":
-        guard(n, METAMATRIX_CAP, "meta-matrix by inclusion-exclusion")
-        rows = tuple(
-            tuple(metamatrix_entry(n, p, q) for q in range(1, n + 1))
-            for p in range(1, n + 1)
-        )
-    elif method == "enumeration":
-        guard(n, ENUMERATION_CAP, "meta-matrix by enumeration")
-        counts = contingency.count_cm_by_size(n)
-        rows = tuple(
-            tuple(counts[(p, q)] for q in range(1, n + 1)) for p in range(1, n + 1)
-        )
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return MetaMatrix(n, rows)
-
-
-def total_count(n):
-    """sum over p, q of the (p, q) counts, via Stirling/Fubini numbers.
-
-    Evaluates two independent closed forms and insists they agree:
-    (1/n!) sum_k c(n,k) F(k)^2, and the double alternating binomial sum
-    obtained by summing the inclusion-exclusion entry formula over all
-    p, q <= n, which collapses to u^t B u with u_i = sum_p (-1)^(p-i) C(p,i).
-    """
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
-    by_fubini = sum(
-        stirling_first(n, k) * fubini(k) ** 2 for k in range(1, n + 1)
-    )
-    assert by_fubini % factorial(n) == 0
-    by_fubini //= factorial(n)
-    u = [
-        sum((-1) ** (p - i) * comb(p, i) for p in range(i, n + 1))
-        for i in range(1, n + 1)
-    ]
-    by_alternating = sum(
-        u[i - 1] * u[j - 1] * comb(n + i * j - 1, n)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    if by_fubini != by_alternating:
-        raise ArithmeticError(
-            f"total-count routes disagree at n={n}: {by_fubini} vs {by_alternating}"
-        )
-    return by_fubini
+from .frozen import Frozen
+from .limits import (
+    DET_DIRECT_CAP,
+    RATIONAL_IDENTITY_CAP,
+    TOTAL_POSITIVITY_CAP,
+    effective_cap,
+    guard,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +160,8 @@ class DetReport(Frozen):
 
 def det_metamatrix(n):
     """det M(n) two ways: the Stirling closed form, and a direct exact
-    determinant of the inclusion-exclusion matrix (for n within cap)."""
+    determinant of the inclusion-exclusion matrix (for n within the
+    direct cap, which ``CONTINGENCY_MAX_N`` raises)."""
     if n < 1:
         raise DomainError(f"weight must be positive, got {n}")
     guard(n, RATIONAL_IDENTITY_CAP, "meta-matrix determinant (closed form)")
@@ -317,7 +174,7 @@ def det_metamatrix(n):
     closed = Fraction(num, den)
     direct = None
     equal = None
-    if n <= DET_DIRECT_CAP:
+    if n <= effective_cap(DET_DIRECT_CAP):
         direct = determinant([list(r) for r in metamatrix(n).entries])
         equal = closed == direct
     return DetReport(

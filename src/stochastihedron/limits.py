@@ -1,9 +1,13 @@
-"""Desk-scale capacity guards.
+"""Desk-scale capacity guards, and the named kind sets that options take.
 
 Every expensive operation is capped at a weight where exact computation
 stays in the seconds-to-minutes range.  Setting the environment variable
 CONTINGENCY_MAX_N to a larger integer raises all guards at once; it can
 never lower them below the built-in defaults.
+
+The two kinds of contraction and the named sets of them live here too, so
+that the command-line parser reads its ``--kind`` and ``--strat`` choices
+without loading the library.
 """
 
 import os
@@ -25,6 +29,25 @@ METAMATRIX_CAP = 40       # meta-matrix by inclusion-exclusion
 PARTITION_CAP = 20        # listing the ordered partitions of n
 DET_DIRECT_CAP = 12       # exact determinant of the meta-matrix
 RATIONAL_IDENTITY_CAP = 20
+
+# a horizontal contraction merges adjacent rows, a vertical one columns
+HORIZONTAL = "horizontal"
+VERTICAL = "vertical"
+
+# the kind sets of anodyne contractions, by the names `--kind` takes
+ANODYNE_KINDS = {
+    "horizontal": (HORIZONTAL,),
+    "vertical": (VERTICAL,),
+    "both": (HORIZONTAL, VERTICAL),
+}
+
+# stratification -> the kinds of anodyne cover whose maps must be invertible
+STRATIFICATIONS = {
+    "cont": (),
+    "fnf": (HORIZONTAL,),
+    "ifnf": (VERTICAL,),
+    "complex": (HORIZONTAL, VERTICAL),
+}
 
 
 def effective_cap(default):

@@ -24,18 +24,10 @@ from itertools import combinations
 from math import lcm
 from operator import mul
 
-from .contingency import HORIZONTAL, VERTICAL, CmPoset, build_poset
+from .contingency import CmPoset, build_poset
 from .errors import DomainError, StructuralError, exact_ints
-from .limits import CONSTANT_SHEAF_CAP, SHEAF_DIM_CAP, guard
+from .limits import CONSTANT_SHEAF_CAP, SHEAF_DIM_CAP, STRATIFICATIONS, guard
 from .exactlinalg import determinant, parse_rational
-
-# stratification -> the kinds of anodyne cover whose maps must be invertible
-STRATIFICATIONS = {
-    "cont": (),
-    "fnf": (HORIZONTAL,),
-    "ifnf": (VERTICAL,),
-    "complex": (HORIZONTAL, VERTICAL),
-}
 
 
 class PosetRepresentation:

@@ -38,7 +38,7 @@ from .contingency import (
 from .errors import DomainError, StructuralError, exact_ints
 from .exactlinalg import parse_rational
 from .frozen import Frozen
-from .limits import ANODYNE_CAP, MEET_CAP, guard
+from .limits import ANODYNE_CAP, ANODYNE_KINDS, MEET_CAP, guard
 from .partitions import OrderedPartition, as_partition, block_bounds
 
 
@@ -298,13 +298,6 @@ class _UnionFind:
         if rx != ry:
             self.parent[max(rx, ry)] = min(rx, ry)
 
-
-# the kind sets of anodyne contractions, by the names `--kind` takes
-ANODYNE_KINDS = {
-    "horizontal": (HORIZONTAL,),
-    "vertical": (VERTICAL,),
-    "both": (HORIZONTAL, VERTICAL),
-}
 
 # the raw key of each label map, read on row tuples
 _FIBER_KEYS = {

@@ -62,7 +62,6 @@ from .errors import DomainError
 from .exactlinalg import smith_normal_form
 from .frozen import Frozen
 from .limits import SPHERICITY_CAP, guard
-from .metamatrix import metamatrix
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +510,3 @@ def _check_cell(poset, rank, signs, faults, results, i):
     cell["pass"] = acyclic_ok and "reason" not in cell
     return cell
 
-
-def f_vector(n):
-    """Cell census of the weight-n stochastihedron: how many matrices sit
-    in each cell dimension 2n-(p+q), summed off M(n) by inclusion-exclusion
-    along the anti-diagonals p + q = 2n - d."""
-    entries = metamatrix(n).entries
-    out = {}
-    for p, row in enumerate(entries, 1):
-        for q, c in enumerate(row, 1):
-            d = 2 * n - (p + q)
-            out[d] = out.get(d, 0) + c
-    return dict(sorted(out.items()))

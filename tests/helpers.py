@@ -11,6 +11,8 @@ construction while still letting individual maps be singular:
   identity; the two kinds commute because scalars do.
 """
 
+import os
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +21,21 @@ from operator import add
 from stochastihedron.contingency import HORIZONTAL, KINDS, VERTICAL, build_poset
 from stochastihedron.sheaf import PosetRepresentation
 from stochastihedron.topology import SimplicialComplex
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env(env_extra=None):
+    """The environment of a child process that imports the library from
+    this checkout's src/, with the capacity guards at their defaults."""
+    env = dict(os.environ)
+    env.pop("CONTINGENCY_MAX_N", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    if env_extra:
+        env.update(env_extra)
+    return env
 
 
 def random_matrix(rng, rows, cols, singular=False):

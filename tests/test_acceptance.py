@@ -28,10 +28,9 @@ from stochastihedron.contingency import (
     double_coset_count,
     enumerate_cm,
 )
-from stochastihedron.metamatrix import (
+from stochastihedron.counting import f_vector, metamatrix, total_count
+from stochastihedron.identities import (
     det_metamatrix,
-    metamatrix,
-    total_count,
     total_positivity,
     verify_factorizations,
 )
@@ -48,7 +47,7 @@ from stochastihedron.strata import (
     classify,
     meet_check,
 )
-from stochastihedron.topology import f_vector, verify_sphericity
+from stochastihedron.topology import verify_sphericity
 
 
 def report(number, label, passed):

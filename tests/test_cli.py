@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import pathlib
 import subprocess
 import sys
 import tempfile
@@ -17,22 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stochastihedron import cli, constant_sheaf, sheaf, strata
+from helpers import cli_env
+
+from stochastihedron import cli, constant_sheaf, counting, sheaf, strata
 
 
 CLI = [sys.executable, "-m", "stochastihedron.cli"]
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def cli_env(env_extra=None):
-    env = dict(os.environ)
-    env.pop("CONTINGENCY_MAX_N", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
-    if env_extra:
-        env.update(env_extra)
-    return env
 
 
 def run_cli(*args, env_extra=None):
@@ -412,7 +401,7 @@ def test_total_positivity_guard_precedes_the_metamatrix(monkeypatch, capsys, n):
     def no_build(*args, **kwargs):
         raise AssertionError("M(n) was built before the all-minors guard")
 
-    monkeypatch.setattr(cli, "metamatrix", no_build)
+    monkeypatch.setattr(counting, "metamatrix", no_build)
     assert cli.main(["--stable", "total-positivity", "--n", n]) == 3
     assert f"capped at 7 (got {n})" in capsys.readouterr().err
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from stochastihedron.contingency import build_poset, count_cm
+from stochastihedron.counting import MetaMatrix, metamatrix
 from stochastihedron.errors import DomainError, StructuralError
-from stochastihedron.metamatrix import DetReport, MetaMatrix, det_metamatrix, metamatrix
+from stochastihedron.frozen import Frozen
+from stochastihedron.identities import DetReport, det_metamatrix
 from stochastihedron.partitions import OrderedPartition
 from stochastihedron.sheaf import PosetRepresentation
 from stochastihedron.strata import (
@@ -63,6 +65,25 @@ def test_value_classes_keep_the_frozen_dataclass_contract(made, keyword, fields,
     assert not hasattr(made, "__dict__")
     for clone in (pickle.loads(pickle.dumps(made)), copy.copy(made), copy.deepcopy(made)):
         assert type(clone) is cls and clone == made
+
+
+def test_one_field_is_a_one_tuple():
+    # attrgetter of a single name returns the bare value; the field tuple of
+    # a one-slot class must still be a tuple
+    class One(Frozen):
+        __slots__ = ("x",)
+
+        def __init__(self, x):
+            object.__setattr__(self, "x", x)
+
+    one = One((1, 2))
+    assert One._fields(one) == ((1, 2),)
+    assert one.__reduce__() == (One, ((1, 2),))
+    assert hash(one) == hash(((1, 2),)) != hash((1, 2))
+    assert repr(one) == "One(x=(1, 2))"
+    assert one == One((1, 2)) and one != One((1, 3))
+    for value in (OrderedPartition((2, 1)), MultiplicityPartition((2, 1))):
+        assert value.__reduce__() == (type(value), ((2, 1),))
 
 
 def test_equal_fields_of_two_classes_are_two_values():

@@ -6,17 +6,19 @@ import pytest
 
 from stochastihedron.contingency import count_cm, enumerate_cm
 from stochastihedron.errors import CapacityError, DomainError
-from stochastihedron.metamatrix import (
+from stochastihedron.counting import (
     MetaMatrix,
-    det_metamatrix,
     fubini,
     generalized_count,
     metamatrix,
     metamatrix_entry,
     stirling_first,
     stirling_second,
-    structured_matrix,
     total_count,
+)
+from stochastihedron.identities import (
+    det_metamatrix,
+    structured_matrix,
     total_positivity,
     verify_factorizations,
 )
@@ -129,6 +131,13 @@ def test_metamatrix_symmetry_and_corners():
         metamatrix(3, method="guesswork")
 
 
+@pytest.mark.parametrize("n", [1.0, "1", None], ids=["float", "str", "None"])
+def test_metamatrix_weight_must_be_an_integer(n):
+    with pytest.raises(DomainError, match="weight must be an integer"):
+        MetaMatrix(n, [[1]])
+    assert MetaMatrix(True, [[1]]) == MetaMatrix(1, [[1]])
+
+
 def test_single_entries_match_census():
     for n in range(1, 6):
         for p in range(1, n + 1):
@@ -196,7 +205,8 @@ def test_pascal_inverse_up_to_20():
         assert mat_mul(p, p_star) == identity(n)
 
 
-def test_determinant_direct_and_integrality_ranges():
+def test_determinant_direct_and_integrality_ranges(monkeypatch):
+    monkeypatch.delenv("CONTINGENCY_MAX_N", raising=False)
     for n in range(1, 13):
         rep = det_metamatrix(n)
         assert rep.equal is True
@@ -206,6 +216,12 @@ def test_determinant_direct_and_integrality_ranges():
         assert rep.integral
     with pytest.raises(CapacityError):
         det_metamatrix(21)
+
+
+def test_raised_cap_reaches_the_direct_determinant(monkeypatch):
+    monkeypatch.setenv("CONTINGENCY_MAX_N", "20")
+    rep = det_metamatrix(13)
+    assert rep.direct == rep.closed_form and rep.equal is True
 
 
 # ---------------------------------------------------------------------------

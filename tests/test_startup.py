@@ -1,0 +1,123 @@
+"""What a run loads: the package resolves its public names on first access,
+and each CLI subcommand imports only the library modules it uses."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+from helpers import cli_env
+
+import stochastihedron
+
+# the CLI's module-level imports, loaded by every run
+BASE = {"errors", "limits", "jsonwriter"}
+CENSUS = BASE | {"contingency", "frozen", "partitions"}
+
+
+def imported(argv):
+    """Exit code and the modules a child imported, read off -X importtime."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env=cli_env(), timeout=120,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, names
+
+
+def library_modules(names):
+    prefix = "stochastihedron."
+    return {name[len(prefix):] for name in names if name.startswith(prefix)}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    config = root / "config.json"
+    config.write_text(json.dumps({"points": [{"re": "0", "im": "1"}, {"re": "1", "im": "0"}]}))
+    rep = root / "rep.json"
+    rep.write_text(json.dumps({"n": 1, "spaces": {"0": 1}, "maps": []}))
+    return {"config": str(config), "rep": str(rep)}
+
+
+# argv (with {config} and {rep} for the input files), exit code, and the
+# library modules the run loads
+RUNS = [
+    (["--help"], 0, BASE),
+    (["f-vector", "--n", "1"], 0, BASE | {"counting", "frozen"}),
+    (["metamatrix", "--n", "3"], 0, BASE | {"counting", "frozen"}),
+    (["metamatrix", "--n", "3", "--method", "enumeration"], 0, CENSUS | {"counting"}),
+    (["enumerate", "--n", "2"], 0, CENSUS),
+    (["enumerate", "--what", "partitions", "--n", "3"], 0, BASE | {"frozen", "partitions"}),
+    (["poset", "--n", "2"], 0, CENSUS),
+    (["poset", "--n", "8"], 3, CENSUS | {"counting"}),
+    (["sphericity", "--n", "2", "--jobs", "2"], 0, CENSUS | {"exactlinalg", "topology"}),
+    (["verify-identities", "--n", "3"], 0,
+     CENSUS | {"counting", "exactlinalg", "identities"}),
+    (["total-positivity", "--n", "3"], 0,
+     BASE | {"counting", "exactlinalg", "frozen", "identities"}),
+    (["classify", "--input", "{config}"], 0, CENSUS | {"exactlinalg", "strata"}),
+    (["anodyne-classes", "--n", "2"], 0, CENSUS | {"exactlinalg", "strata"}),
+    (["meet-join", "--n", "2"], 0, CENSUS | {"exactlinalg", "strata"}),
+    (["constant-sheaf", "--n", "1", "--dim", "1"], 0, CENSUS | {"exactlinalg", "sheaf"}),
+    (["sheaf-check", "--input", "{rep}"], 0, CENSUS | {"exactlinalg", "sheaf"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, modules", RUNS, ids=[" ".join(r[0]) for r in RUNS])
+def test_each_subcommand_loads_only_its_modules(inputs, argv, code, modules):
+    argv = [a.format(**inputs) for a in argv]
+    got_code, names = imported(["-m", "stochastihedron.cli", "--stable", *argv])
+    assert got_code == code
+    assert library_modules(names) == modules
+
+
+def test_f_vector_loads_no_rational_arithmetic():
+    code, names = imported(["-m", "stochastihedron.cli", "f-vector", "--n", "1"])
+    assert code == 0
+    assert not {"fractions", "decimal"} & names
+
+
+def test_importing_the_package_loads_no_module():
+    code, names = imported(["-c", "import stochastihedron"])
+    assert code == 0
+    assert "stochastihedron" in names and library_modules(names) == set()
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name in stochastihedron.__all__:
+        module = importlib.import_module(
+            f"stochastihedron.{stochastihedron._MODULE_OF[name]}")
+        assert getattr(stochastihedron, name) is getattr(module, name), name
+    assert set(stochastihedron.__all__) <= set(dir(stochastihedron))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        stochastihedron.no_such_name
+    assert not hasattr(stochastihedron, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from stochastihedron import *", namespace)
+    for name in stochastihedron.__all__:
+        assert namespace[name] is getattr(stochastihedron, name)
+
+
+def test_metamatrix_stays_the_function_once_counting_is_imported():
+    code = (
+        "import stochastihedron.counting, stochastihedron; "
+        "print(stochastihedron.metamatrix is stochastihedron.counting.metamatrix, "
+        "stochastihedron.metamatrix(2).entries)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True ((1, 1), (1, 2))\n"

@@ -15,6 +15,7 @@ from stochastihedron.contingency import (
     count_cm,
     count_cm_by_size,
 )
+from stochastihedron.counting import f_vector
 from stochastihedron.errors import CapacityError, DomainError
 from stochastihedron.exactlinalg import determinant, smith_normal_form
 from stochastihedron.topology import (
@@ -22,7 +23,6 @@ from stochastihedron.topology import (
     HomologyProfile,
     SimplicialComplex,
     check_sphericity,
-    f_vector,
     homology,
     lower_interval,
     order_complex,
