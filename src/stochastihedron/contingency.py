@@ -28,7 +28,6 @@ from .limits import (
     DOUBLE_COSET_CAP,
     ENUMERATION_CAP,
     HORIZONTAL,
-    POSET_CAP,
     VERTICAL,
     guard,
 )
@@ -626,7 +625,7 @@ class CmPoset:
 
 def build_poset(n):
     """Enumerate CM_n; its covers are recorded when ``up`` is first read."""
-    guard(n, POSET_CAP, "contingency poset construction")
+    guard(n, ENUMERATION_CAP, "contingency poset construction")
     return CmPoset(n)
 
 

@@ -2,8 +2,10 @@
 
 M(n) is the n x n integer matrix whose (p, q) entry counts contingency
 matrices of size p x q and weight n.  Each entry is an inclusion-exclusion
-sum of binomials, and its total has a closed form in Stirling and Fubini
-numbers:
+sum of binomials over the zero rows and columns a p x q grid may have;
+all n^2 of them at once are the product S B S^t, with B_ij = C(n+ij-1, n)
+and S_pi = (-1)^(p+i) C(p, i), so M(n) takes O(n^3) operations on big
+integers.  Its total has a closed form in Stirling and Fubini numbers:
 
     sum M = (1/n!) sum_k c(n,k) F(k)^2,
 
@@ -17,10 +19,10 @@ The factorization identities, the determinant and total positivity of
 M(n) live in ``identities``.
 """
 
-import operator
 from math import comb, factorial
+from operator import mul
 
-from .errors import DomainError, exact_ints
+from .errors import DomainError, exact_ints, positive_weight
 from .frozen import Frozen
 from .limits import ENUMERATION_CAP, METAMATRIX_CAP, guard
 
@@ -72,7 +74,8 @@ def generalized_count(n, p, q):
 
 def metamatrix_entry(n, p, q):
     """Count of p x q contingency matrices of weight n by inclusion-exclusion
-    over deleted zero rows and columns."""
+    over deleted zero rows and columns, one entry on its own (the reference
+    that ``metamatrix`` is tested against)."""
     return sum(
         (-1) ** (i + j + p + q)
         * comb(p, i)
@@ -90,10 +93,7 @@ class MetaMatrix(Frozen):
     __slots__ = ("n", "entries")  # entries[p-1][q-1], 1-based sizes
 
     def __init__(self, n, entries):
-        try:
-            n = operator.index(n)
-        except TypeError as exc:
-            raise DomainError(f"weight must be an integer: {exc}") from exc
+        n = positive_weight(n)
         entries = tuple(map(exact_ints, entries))
         if len(entries) != n or any(len(row) != n for row in entries):
             raise DomainError(f"meta-matrix of weight {n} must be {n}x{n}")
@@ -120,14 +120,15 @@ class MetaMatrix(Frozen):
 
 def metamatrix(n, method="inclusion_exclusion"):
     """M(n) by either route; both must agree (tested against each other)."""
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
+    n = positive_weight(n)
     if method == "inclusion_exclusion":
         guard(n, METAMATRIX_CAP, "meta-matrix by inclusion-exclusion")
-        rows = tuple(
-            tuple(metamatrix_entry(n, p, q) for q in range(1, n + 1))
-            for p in range(1, n + 1)
-        )
+        # S B S^t; row p of S stops at i = p, as C(p, i) = 0 past it
+        r = range(1, n + 1)
+        signed = [[(-1) ** (p + i) * comb(p, i) for i in range(1, p + 1)] for p in r]
+        columns = [[comb(n + i * j - 1, n) for i in r] for j in r]  # of B
+        half = [[sum(map(mul, s, col)) for col in columns] for s in signed]
+        rows = tuple(tuple(sum(map(mul, s, h)) for s in signed) for h in half)
     elif method == "enumeration":
         guard(n, ENUMERATION_CAP, "meta-matrix by enumeration")
         from .contingency import count_cm_by_size
@@ -149,8 +150,7 @@ def total_count(n):
     obtained by summing the inclusion-exclusion entry formula over all
     p, q <= n, which collapses to u^t B u with u_i = sum_p (-1)^(p-i) C(p,i).
     """
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
+    n = positive_weight(n)
     by_fubini = sum(
         stirling_first(n, k) * fubini(k) ** 2 for k in range(1, n + 1)
     )

@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the integer check that
-the value constructors share."""
+"""Exception types shared across the library, and the integer checks that
+the value constructors and the meta-matrix functions share."""
 
 import operator
 
@@ -24,3 +24,15 @@ def exact_ints(values, error=DomainError):
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise error(f"entries must be integers: {exc}") from exc
+
+
+def positive_weight(n):
+    """The weight n as an exact int of at least 1, through
+    ``operator.index``: anything else raises ``DomainError``."""
+    try:
+        n = operator.index(n)
+    except TypeError as exc:
+        raise DomainError(f"weight must be an integer: {exc}") from exc
+    if n < 1:
+        raise DomainError(f"weight must be positive, got {n}")
+    return n

@@ -14,16 +14,18 @@ of the second kind.  All indices here are 1-based to match the row/column
 semantics of the counts; all arithmetic is exact.
 
 M(n) is totally positive: every minor of every size is strictly positive.
-``total_positivity`` verifies this literally by scanning all minors.
+By Fekete (1912) it suffices that every solid minor (consecutive rows and
+consecutive columns) is, and ``total_positivity`` checks all of them by
+Dodgson condensation, each from two sizes below in O(1) big-integer
+steps.  Every claim here runs up to the one meta-matrix cap.
 """
 
-import itertools
 import operator
 from fractions import Fraction
 from math import comb, factorial
 
 from .counting import MetaMatrix, metamatrix, stirling_first, stirling_second
-from .errors import DomainError
+from .errors import DomainError, positive_weight
 from .exactlinalg import (
     determinant,
     diagonal,
@@ -35,13 +37,7 @@ from .exactlinalg import (
     mat_transpose,
 )
 from .frozen import Frozen
-from .limits import (
-    DET_DIRECT_CAP,
-    RATIONAL_IDENTITY_CAP,
-    TOTAL_POSITIVITY_CAP,
-    effective_cap,
-    guard,
-)
+from .limits import METAMATRIX_CAP, guard
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +93,8 @@ def verify_factorizations(n):
     Returns a report dict with one entry per identity; all arithmetic is
     over integers/rationals, so "pass" means exact equality.
     """
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
-    guard(n, RATIONAL_IDENTITY_CAP, "rational identity verification")
+    n = positive_weight(n)
+    guard(n, METAMATRIX_CAP, "rational identity verification")
     P = structured_matrix(PASCAL, n)
     P_star = structured_matrix(PASCAL_INVERSE, n)
     V = structured_matrix(VANDERMONDE, n)
@@ -146,8 +141,6 @@ def verify_factorizations(n):
 
 
 class DetReport(Frozen):
-    # direct is an int, or None when the direct route is skipped; equal is
-    # a bool, or None when not compared
     __slots__ = ("n", "closed_form", "direct", "integral", "equal")
 
     def __init__(self, n, closed_form, direct, integral, equal):
@@ -160,11 +153,9 @@ class DetReport(Frozen):
 
 def det_metamatrix(n):
     """det M(n) two ways: the Stirling closed form, and a direct exact
-    determinant of the inclusion-exclusion matrix (for n within the
-    direct cap, which ``CONTINGENCY_MAX_N`` raises)."""
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
-    guard(n, RATIONAL_IDENTITY_CAP, "meta-matrix determinant (closed form)")
+    (Bareiss) determinant of the inclusion-exclusion matrix."""
+    n = positive_weight(n)
+    guard(n, METAMATRIX_CAP, "meta-matrix determinant (closed form)")
     num = factorial(n)
     for i in range(1, n):
         num *= stirling_first(n, i)
@@ -172,33 +163,31 @@ def det_metamatrix(n):
     for i in range(1, n):
         den *= comb(n, i)
     closed = Fraction(num, den)
-    direct = None
-    equal = None
-    if n <= effective_cap(DET_DIRECT_CAP):
-        direct = determinant([list(r) for r in metamatrix(n).entries])
-        equal = closed == direct
+    direct = determinant([list(r) for r in metamatrix(n).entries])
     return DetReport(
         n=n,
         closed_form=closed,
         direct=direct,
         integral=closed.denominator == 1,
-        equal=equal,
+        equal=closed == direct,
     )
 
 
-def guard_positivity_scan(n):
-    """Refuse an all-minors scan of an n x n matrix above the cap; callers
-    that would build the matrix first call it before building."""
-    guard(n, TOTAL_POSITIVITY_CAP, "all-minors positivity scan")
-
-
 def total_positivity(matrix):
-    """Scan every minor of every size; strict positivity of all of them.
+    """Strict positivity of every minor, from its solid minors (Fekete).
 
     Accepts a MetaMatrix or a plain square grid of integers; a float,
-    string or Fraction entry raises DomainError.  Returns (is_tp, witness)
-    where witness names the first nonpositive minor in scan order
-    (size ascending, then row set, then column set; 1-based indices).
+    string or Fraction entry raises DomainError.  D_k[i][j], the minor on
+    rows i..i+k-1 and columns j..j+k-1, comes from sizes k-1 and k-2 by
+    the Desnanot-Jacobi identity (D_0 is all ones):
+
+        D_k[i][j] = (D_{k-1}[i][j] D_{k-1}[i+1][j+1]
+                     - D_{k-1}[i][j+1] D_{k-1}[i+1][j]) / D_{k-2}[i+1][j+1].
+
+    Each size is checked whole before the next is built, so every divisor
+    is already known positive and each division is exact.  Returns
+    (is_tp, witness), the witness the first nonpositive solid minor (size,
+    then top row, then left column; 1-based indices).
     """
     grid = matrix.entries if isinstance(matrix, MetaMatrix) else matrix
     try:
@@ -208,19 +197,22 @@ def total_positivity(matrix):
     n = len(grid)
     if n == 0 or any(len(r) != n for r in grid):
         raise DomainError("total positivity test needs a square matrix")
-    guard_positivity_scan(n)
-    idx = range(n)
+    guard(n, METAMATRIX_CAP, "all-minors positivity scan")
+    below, minors = [[1] * n] * n, grid
     for k in range(1, n + 1):
-        for rows_sel in itertools.combinations(idx, k):
-            for cols_sel in itertools.combinations(idx, k):
-                minor = determinant(
-                    [[grid[i][j] for j in cols_sel] for i in rows_sel]
-                )
-                if minor <= 0:
-                    witness = {
-                        "rows": tuple(i + 1 for i in rows_sel),
-                        "cols": tuple(j + 1 for j in cols_sel),
-                        "value": minor,
+        for i, row in enumerate(minors):
+            for j, value in enumerate(row):
+                if value <= 0:
+                    return False, {
+                        "rows": tuple(range(i + 1, i + k + 1)),
+                        "cols": tuple(range(j + 1, j + k + 1)),
+                        "value": value,
                     }
-                    return False, witness
+        below, minors = minors, [
+            [
+                (a * d - b * c) // e
+                for a, b, c, d, e in zip(top, top[1:], bottom, bottom[1:], divisors[1:])
+            ]
+            for top, bottom, divisors in zip(minors, minors[1:], below[1:])
+        ]
     return True, None

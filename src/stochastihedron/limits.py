@@ -16,19 +16,14 @@ from .errors import CapacityError
 
 ENV_VAR = "CONTINGENCY_MAX_N"
 
-ENUMERATION_CAP = 7       # full census of CM_n
-POSET_CAP = 7             # covers of the contraction order
+ENUMERATION_CAP = 7       # CM_n: its census, contraction order and label pairs
 SPHERICITY_CAP = 6        # homology of every lower interval
 ANODYNE_CAP = 5           # union-find over anodyne contractions
-MEET_CAP = 7              # grouping CM_n by label pairs
 DOUBLE_COSET_CAP = 6      # orbit enumeration inside S_n
 CONSTANT_SHEAF_CAP = 6    # constant sheaf: covers and diamonds of CM_n
 SHEAF_DIM_CAP = 8         # dimension of one space of a representation
-TOTAL_POSITIVITY_CAP = 7  # matrix size, all-minors scan
-METAMATRIX_CAP = 40       # meta-matrix by inclusion-exclusion
+METAMATRIX_CAP = 40       # M(n), its identities, determinant and positivity
 PARTITION_CAP = 20        # listing the ordered partitions of n
-DET_DIRECT_CAP = 12       # exact determinant of the meta-matrix
-RATIONAL_IDENTITY_CAP = 20
 
 # a horizontal contraction merges adjacent rows, a vertical one columns
 HORIZONTAL = "horizontal"

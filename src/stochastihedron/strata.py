@@ -38,7 +38,7 @@ from .contingency import (
 from .errors import DomainError, StructuralError, exact_ints
 from .exactlinalg import parse_rational
 from .frozen import Frozen
-from .limits import ANODYNE_CAP, ANODYNE_KINDS, MEET_CAP, guard
+from .limits import ANODYNE_CAP, ANODYNE_KINDS, ENUMERATION_CAP, guard
 from .partitions import OrderedPartition, as_partition, block_bounds
 
 
@@ -374,7 +374,7 @@ def meet_check(n):
     The row tuples of CM_n are grouped on the raw label keys, with no
     ContingencyMatrix built; the two labels are built, and checked, once
     per group."""
-    guard(n, MEET_CAP, "label-pair grouping")
+    guard(n, ENUMERATION_CAP, "label-pair grouping")
     groups = {}
     for rows in _cm_rows(n):
         key = (_fnf_key(rows), _line_key(rows))

@@ -19,6 +19,7 @@ from itertools import combinations
 from operator import add
 
 from stochastihedron.contingency import HORIZONTAL, KINDS, VERTICAL, build_poset
+from stochastihedron.exactlinalg import determinant
 from stochastihedron.sheaf import PosetRepresentation
 from stochastihedron.topology import SimplicialComplex
 
@@ -156,6 +157,25 @@ def block_sum_leq(a, b, kinds=KINDS):
         return False
     columns = list(zip(*b.rows))
     return _merge_blocks(zip(*rows), list(map(sum, columns))) == columns
+
+
+def all_minors_scan(grid):
+    """Every minor of every size, each by its own Bareiss determinant: the
+    oracle for ``identities.total_positivity``, which reads the solid minors
+    only.  Returns (is_tp, witness), the witness the first nonpositive minor
+    in scan order (size, then row set, then column set; 1-based indices)."""
+    idx = range(len(grid))
+    for k in range(1, len(grid) + 1):
+        for rows in combinations(idx, k):
+            for cols in combinations(idx, k):
+                minor = determinant([[grid[i][j] for j in cols] for i in rows])
+                if minor <= 0:
+                    return False, {
+                        "rows": tuple(i + 1 for i in rows),
+                        "cols": tuple(j + 1 for j in cols),
+                        "value": minor,
+                    }
+    return True, None
 
 
 def rescaled(rep, rng):

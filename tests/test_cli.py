@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import cli_env
 
-from stochastihedron import cli, constant_sheaf, counting, sheaf, strata
+from stochastihedron import cli, constant_sheaf, sheaf, strata
 
 
 CLI = [sys.executable, "-m", "stochastihedron.cli"]
@@ -279,6 +279,18 @@ def test_poset_exports():
             ("constant-sheaf", "--n", "3", "--dim", "1"),
             "d65260c24b40fa1e1c3de5b4258a39d3de24fc5fb8cf084bf19676e7fba0d9b9",
         ),
+        (
+            ("total-positivity", "--n", "40"),
+            "41c9ba963ba638a3bea35619336e65bda2bc0f23ba24e1b60a7fe8ebc8fb8d5d",
+        ),
+        (
+            ("verify-identities", "--n", "13"),
+            "379f895dabde8e7a4b0900190ac0c04f3c01e85a17e37d92db446af4bf591feb",
+        ),
+        (
+            ("f-vector", "--n", "40"),
+            "84b065e754c711496eb52a2e8030c1e543886ce33bf8a21149c0df55b822df60",
+        ),
     ],
 )
 def test_stable_report_bytes_are_pinned(argv, digest):
@@ -312,6 +324,16 @@ def test_total_positivity_command():
     assert report["details"]["totally_positive"] is True
 
 
+def test_verify_identities_at_the_metamatrix_cap():
+    # every identity and both determinants of M(40), with no raised cap
+    code, report = run_json("--stable", "verify-identities", "--n", "40")
+    assert code == 0
+    details = report["details"]
+    assert all(details["identities"].values())
+    det = details["determinant"]
+    assert str(det["direct"]) == det["closed_form"] and len(det["closed_form"]) == 997
+
+
 def test_anodyne_and_meet_join():
     code, report = run_json("--stable", "anodyne-classes", "--n", "3")
     assert code == 0
@@ -340,13 +362,16 @@ def test_meet_join_cap_is_seven(capsys):
 
 
 @pytest.mark.parametrize("argv, cap", [
-    (("total-positivity", "--n", "1000"), "capped at 7"),
+    (("total-positivity", "--n", "1000"), "capped at 40"),
     (("metamatrix", "--n", "1000"), "capped at 40"),
     (("enumerate", "--what", "partitions", "--n", "1000"), "capped at 20"),
+    (("total-positivity", "--n", "41"), "capped at 40 (got 41)"),
+    (("verify-identities", "--n", "41"), "capped at 40 (got 41)"),
 ])
 def test_caps_trip_before_the_work(argv, cap):
     # M(1000) by inclusion-exclusion or the 2^999 partitions of 1000 would
-    # run for hours; the guard must refuse them at once
+    # run for hours; the guard must refuse them at once, and total
+    # positivity is refused by the meta-matrix guard before M(n) is built
     start = time.monotonic()
     proc = run_cli("--stable", *argv)
     assert time.monotonic() - start < 10
@@ -394,16 +419,6 @@ def test_a_refused_dimension_does_not_name_the_census(monkeypatch, capsys):
     assert cli.main(["--stable", "constant-sheaf", "--n", "6", "--dim", "9"]) == 3
     err = capsys.readouterr().err
     assert "dimension is capped at 8 (got 9)" in err and "|CM_" not in err
-
-
-@pytest.mark.parametrize("n", ["8", "40"])
-def test_total_positivity_guard_precedes_the_metamatrix(monkeypatch, capsys, n):
-    def no_build(*args, **kwargs):
-        raise AssertionError("M(n) was built before the all-minors guard")
-
-    monkeypatch.setattr(counting, "metamatrix", no_build)
-    assert cli.main(["--stable", "total-positivity", "--n", n]) == 3
-    assert f"capped at 7 (got {n})" in capsys.readouterr().err
 
 
 def test_constant_sheaf_cap_is_six(capsys):

@@ -1,13 +1,17 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from helpers import all_minors_scan
 
 from stochastihedron.contingency import count_cm, enumerate_cm
 from stochastihedron.errors import CapacityError, DomainError
+from stochastihedron.exactlinalg import determinant
 from stochastihedron.counting import (
     MetaMatrix,
+    f_vector,
     fubini,
     generalized_count,
     metamatrix,
@@ -111,6 +115,18 @@ def test_metamatrix_1():
     assert metamatrix(1).entries == ((1,),)
 
 
+def test_metamatrix_product_matches_each_entry():
+    # S B S^t against the entry-by-entry inclusion-exclusion sum
+    for n in range(1, 16):
+        assert metamatrix(n).entries == tuple(
+            tuple(metamatrix_entry(n, p, q) for q in range(1, n + 1))
+            for p in range(1, n + 1)
+        )
+    m = metamatrix(40)
+    for p, q in ((1, 1), (1, 40), (2, 39), (7, 33), (20, 20), (40, 40)):
+        assert m.entry(p, q) == metamatrix_entry(40, p, q)
+
+
 def test_metamatrix_methods_agree():
     for n in range(1, 7):
         assert metamatrix(n).entries == metamatrix(n, "enumeration").entries
@@ -206,22 +222,44 @@ def test_pascal_inverse_up_to_20():
 
 
 def test_determinant_direct_and_integrality_ranges(monkeypatch):
+    # the Bareiss determinant runs at every n up to the meta-matrix cap
     monkeypatch.delenv("CONTINGENCY_MAX_N", raising=False)
-    for n in range(1, 13):
+    for n in range(1, 41):
         rep = det_metamatrix(n)
-        assert rep.equal is True
-    for n in range(13, 21):
-        rep = det_metamatrix(n)
-        assert rep.direct is None
-        assert rep.integral
-    with pytest.raises(CapacityError):
-        det_metamatrix(21)
+        assert rep.direct == rep.closed_form
+        assert rep.equal is True and rep.integral
+    with pytest.raises(CapacityError, match=r"capped at 40 \(got 41\)"):
+        det_metamatrix(41)
 
 
 def test_raised_cap_reaches_the_direct_determinant(monkeypatch):
-    monkeypatch.setenv("CONTINGENCY_MAX_N", "20")
-    rep = det_metamatrix(13)
+    monkeypatch.setenv("CONTINGENCY_MAX_N", "41")
+    rep = det_metamatrix(41)
     assert rep.direct == rep.closed_form and rep.equal is True
+
+
+@pytest.mark.parametrize(
+    "func",
+    [metamatrix, total_count, det_metamatrix, verify_factorizations, f_vector],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (2.5, "weight must be an integer"),
+        ("3", "weight must be an integer"),
+        (Fraction(3), "weight must be an integer"),
+        (None, "weight must be an integer"),
+        (0, "weight must be positive, got 0"),
+        (-2, "weight must be positive, got -2"),
+    ],
+    ids=["float", "str", "Fraction", "None", "zero", "negative"],
+)
+def test_meta_matrix_functions_refuse_a_weight_that_is_not_a_positive_int(
+    func, n, message
+):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        func(n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +283,11 @@ def test_total_positivity_counterexamples():
 def test_total_positivity_guards():
     with pytest.raises(DomainError):
         total_positivity([[1, 2]])
-    with pytest.raises(CapacityError):
-        total_positivity([[1] * 8] * 8)
+    with pytest.raises(CapacityError, match=r"capped at 40 \(got 41\)"):
+        total_positivity([[1] * 41] * 41)
+    assert total_positivity([[1] * 40] * 40) == (
+        False, {"rows": (1, 2), "cols": (1, 2), "value": 0}
+    )
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 0.5, 2.0, "2"])
@@ -261,3 +302,68 @@ def test_total_positivity_refuses_non_integer_entries(entry):
 def test_metamatrix_is_totally_positive(n):
     ok, witness = total_positivity(metamatrix(n))
     assert ok, witness
+
+
+# ---------------------------------------------------------------------------
+# condensation against the all-minors scan
+
+def _same_verdict(grid):
+    """Condensation and the scan agree on the verdict and the witness size;
+    the witness is a solid block whose determinant is its value, <= 0, and
+    it is the scan's own witness whenever that one is solid."""
+    got, witness = total_positivity(grid)
+    expected, first = all_minors_scan(grid)
+    assert got == expected, grid
+    if got:
+        assert witness is None
+        return got
+    rows, cols = witness["rows"], witness["cols"]
+    assert len(rows) == len(first["rows"]), (grid, witness, first)
+    assert rows == tuple(range(rows[0], rows[0] + len(rows)))
+    assert cols == tuple(range(cols[0], cols[0] + len(cols)))
+    block = [[grid[i - 1][j - 1] for j in cols] for i in rows]
+    assert determinant(block) == witness["value"] <= 0
+    solid = first["rows"] == tuple(range(first["rows"][0], first["rows"][-1] + 1))
+    solid = solid and first["cols"] == tuple(range(first["cols"][0], first["cols"][-1] + 1))
+    if solid:
+        assert witness == first
+    return got
+
+
+def test_condensation_matches_the_scan_on_metamatrices():
+    for n in range(1, 8):
+        assert _same_verdict(metamatrix(n).entries)
+
+
+def test_condensation_matches_the_scan_on_perturbed_metamatrices():
+    verdicts = set()
+    for n in range(1, 7):
+        entries = metamatrix(n).entries
+        for p, q in itertools.product(range(n), repeat=2):
+            for delta in (1, -1, 100, -100, 10**9, -(10**9)):
+                grid = [list(row) for row in entries]
+                grid[p][q] += delta
+                verdicts.add(_same_verdict(grid))
+    assert verdicts == {True, False}
+
+
+def _random_grid(rng):
+    """A small integer grid: uniform entries, a generalized Vandermonde
+    grid x_i^y_j (totally positive for increasing x > 0 and y), or one of
+    those with one entry moved."""
+    n = rng.randint(1, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [[rng.randint(-1, 6) for _ in range(n)] for _ in range(n)]
+    xs = sorted(rng.sample(range(1, 7), n))
+    ys = sorted(rng.sample(range(6), n))
+    grid = [[x**y for y in ys] for x in xs]
+    if kind == 2:
+        grid[rng.randrange(n)][rng.randrange(n)] += rng.choice((-20, -5, -1, 1, 5, 20))
+    return grid
+
+
+def test_condensation_matches_the_scan_on_random_grids():
+    rng = random.Random(20261020)
+    verdicts = [_same_verdict(_random_grid(rng)) for _ in range(1500)]
+    assert 300 < sum(verdicts) < 1200
