@@ -18,7 +18,8 @@ Exit code 0 when the command's check passes, 1 when a verification fails,
 141 (128 + SIGPIPE) when stdout is closed before the report is written.
 
 Each handler imports the library modules it uses, so a run loads only
-those; at module level sit the errors, the caps and the report writer.
+those; at module level sit the errors, the option kind sets and the
+report writer.  A capacity message is the library's, printed as raised.
 """
 
 import argparse
@@ -30,16 +31,7 @@ from collections.abc import Iterator
 
 from .errors import CapacityError, DomainError, StructuralError
 from .jsonwriter import write_json
-from .limits import (
-    ANODYNE_CAP,
-    ANODYNE_KINDS,
-    CONSTANT_SHEAF_CAP,
-    ENUMERATION_CAP,
-    METAMATRIX_CAP,
-    SPHERICITY_CAP,
-    STRATIFICATIONS,
-    effective_cap,
-)
+from .limits import ANODYNE_KINDS, STRATIFICATIONS
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -67,38 +59,6 @@ def _load_json(path):
         # past the int-string conversion limit; RecursionError, nesting
         # deeper than the decoder's stack
         raise StructuralError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-# the commands that work over all of CM_n, and the cap on their --n
-_CENSUS_CAPS = {
-    "enumerate": ENUMERATION_CAP,
-    "poset": ENUMERATION_CAP,
-    "sphericity": SPHERICITY_CAP,
-    "anodyne-classes": ANODYNE_CAP,
-    "meet-join": ENUMERATION_CAP,
-    "constant-sheaf": CONSTANT_SHEAF_CAP,
-}
-
-
-def _refused_census(args):
-    """'; |CM_n| = N' for the capacity message of a run over all of CM_n
-    refused for its n (``enumerate`` of matrices with no margin or size
-    given, ``poset``, ``sphericity``, ``anodyne-classes``, ``meet-join``,
-    ``constant-sheaf``, but not a ``--dim`` refused alone), counted in
-    closed form when n is within the meta-matrix cap; else ''."""
-    n = getattr(args, "n", None)
-    cap = _CENSUS_CAPS.get(args.command)
-    if (
-        cap is not None
-        and getattr(args, "what", "matrices") == "matrices"
-        and all(getattr(args, key, None) is None for key in ("p", "q", "alpha", "beta"))
-        and n is not None
-        and effective_cap(cap) < n <= METAMATRIX_CAP
-    ):
-        from .counting import total_count
-
-        return f"; |CM_{n}| = {total_count(n):,}"
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +411,7 @@ def main(argv=None):
     try:
         passed, details = args.handler(args)
     except CapacityError as exc:
-        print(f"capacity exceeded: {exc}{_refused_census(args)}", file=sys.stderr)
+        print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (DomainError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

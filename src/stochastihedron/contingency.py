@@ -16,34 +16,24 @@ adjacent columns.  Canonical element order is lexicographic on
 """
 
 import itertools
-import operator
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from math import factorial
 from operator import add, lshift
 
-from .errors import DomainError
+from .errors import DomainError, exact_grid, exact_ints, positive_weight
 from .frozen import Frozen
 from .limits import (
     DOUBLE_COSET_CAP,
     ENUMERATION_CAP,
     HORIZONTAL,
     VERTICAL,
+    census_guard,
     guard,
 )
 from .partitions import OrderedPartition, as_partition, enumerate_ordered_partitions
 
 KINDS = (HORIZONTAL, VERTICAL)
-
-
-_INT = {int}
-
-
-def _exact_row(row):
-    """The row as a tuple of exact ints: kept if it is one already."""
-    if type(row) is tuple and set(map(type, row)) <= _INT:
-        return row
-    return tuple(map(operator.index, row))
 
 
 class ContingencyMatrix(Frozen):
@@ -70,10 +60,7 @@ class ContingencyMatrix(Frozen):
 
     def __init__(self, rows, check=True):
         if check:
-            try:
-                rows = tuple(map(_exact_row, rows))
-            except TypeError as exc:
-                raise DomainError(f"entries must be integers: {exc}") from exc
+            rows = exact_grid(rows)
             if not rows or not rows[0]:
                 raise DomainError("matrix must have at least one row and column")
             if len(set(map(len, rows))) != 1:
@@ -265,6 +252,7 @@ def _count_fixed_margins(alpha, beta, memo):
 
 
 def _resolve_constraints(n, p, q, alpha, beta):
+    p, q = (x if x is None else exact_ints((x,))[0] for x in (p, q))
     if alpha is not None:
         alpha = as_partition(alpha)
         if p is not None and p != alpha.length:
@@ -283,8 +271,7 @@ def _resolve_constraints(n, p, q, alpha, beta):
         n = beta.weight
     if n is None:
         raise DomainError("the weight n is not determined by the arguments")
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
+    n = positive_weight(n)
     for name, value in (("p", p), ("q", q)):
         if value is not None and not 1 <= value <= n:
             raise DomainError(f"{name} must satisfy 1 <= {name} <= {n}, got {value}")
@@ -303,9 +290,12 @@ def _margin_pairs(n, p, q, alpha, beta):
 
 def _cm_rows(n=None, p=None, q=None, alpha=None, beta=None):
     """The row tuples of ``enumerate_cm``, in its canonical order, one
-    (p, q) block at a time; the guard trips at the first ``next``."""
+    (p, q) block at a time; the guard trips at the first ``next``.  With
+    no size or margin given it is all of CM_n, and a refusal names |CM_n|."""
+    census = all(x is None for x in (p, q, alpha, beta))
     n, p, q, alpha, beta = _resolve_constraints(n, p, q, alpha, beta)
-    guard(n, ENUMERATION_CAP, "contingency matrix enumeration")
+    check = census_guard if census else guard
+    check(n, ENUMERATION_CAP, "contingency matrix enumeration")
     memo = {}
     for _, _, alphas, betas in _margin_pairs(n, p, q, alpha, beta):
         block = []
@@ -625,8 +615,7 @@ class CmPoset:
 
 def build_poset(n):
     """Enumerate CM_n; its covers are recorded when ``up`` is first read."""
-    guard(n, ENUMERATION_CAP, "contingency poset construction")
-    return CmPoset(n)
+    return CmPoset(census_guard(n, ENUMERATION_CAP, "contingency poset construction"))
 
 
 def poset_covers_json(poset):

@@ -22,7 +22,7 @@ M(n) live in ``identities``.
 from math import comb, factorial
 from operator import mul
 
-from .errors import DomainError, exact_ints, positive_weight
+from .errors import DomainError, exact_grid, positive_weight
 from .frozen import Frozen
 from .limits import ENUMERATION_CAP, METAMATRIX_CAP, guard
 
@@ -94,7 +94,7 @@ class MetaMatrix(Frozen):
 
     def __init__(self, n, entries):
         n = positive_weight(n)
-        entries = tuple(map(exact_ints, entries))
+        entries = exact_grid(entries)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise DomainError(f"meta-matrix of weight {n} must be {n}x{n}")
         if any(entries[i][j] != entries[j][i] for i in range(n) for j in range(i)):

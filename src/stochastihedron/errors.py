@@ -1,5 +1,5 @@
 """Exception types shared across the library, and the integer checks that
-the value constructors and the meta-matrix functions share."""
+every value constructor and every entry point taking a weight share."""
 
 import operator
 
@@ -16,14 +16,28 @@ class StructuralError(ValueError):
     """A composite object (representation, JSON payload) is malformed."""
 
 
+_INT = {int}
+
+
 def exact_ints(values, error=DomainError):
     """The values as a tuple of exact ints, each through ``operator.index``:
     a float, string, Fraction or None raises ``error`` rather than being
-    truncated or parsed."""
+    truncated or parsed.  A tuple of exact ints is returned as it is."""
+    if type(values) is tuple and set(map(type, values)) <= _INT:
+        return values
     try:
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise error(f"entries must be integers: {exc}") from exc
+
+
+def exact_grid(rows):
+    """The rows as a tuple of ``exact_ints`` tuples; a grid or row that is
+    not iterable raises ``DomainError`` too."""
+    try:
+        return tuple(map(exact_ints, rows))
+    except TypeError as exc:
+        raise DomainError(f"entries must be integers: {exc}") from exc
 
 
 def positive_weight(n):

@@ -20,12 +20,11 @@ Dodgson condensation, each from two sizes below in O(1) big-integer
 steps.  Every claim here runs up to the one meta-matrix cap.
 """
 
-import operator
 from fractions import Fraction
 from math import comb, factorial
 
 from .counting import MetaMatrix, metamatrix, stirling_first, stirling_second
-from .errors import DomainError, positive_weight
+from .errors import DomainError, exact_grid, positive_weight
 from .exactlinalg import (
     determinant,
     diagonal,
@@ -155,7 +154,7 @@ def det_metamatrix(n):
     """det M(n) two ways: the Stirling closed form, and a direct exact
     (Bareiss) determinant of the inclusion-exclusion matrix."""
     n = positive_weight(n)
-    guard(n, METAMATRIX_CAP, "meta-matrix determinant (closed form)")
+    guard(n, METAMATRIX_CAP, "meta-matrix determinant (closed form and Bareiss)")
     num = factorial(n)
     for i in range(1, n):
         num *= stirling_first(n, i)
@@ -189,15 +188,11 @@ def total_positivity(matrix):
     (is_tp, witness), the witness the first nonpositive solid minor (size,
     then top row, then left column; 1-based indices).
     """
-    grid = matrix.entries if isinstance(matrix, MetaMatrix) else matrix
-    try:
-        grid = [list(map(operator.index, r)) for r in grid]
-    except TypeError as exc:
-        raise DomainError(f"entries must be integers: {exc}") from exc
+    grid = exact_grid(matrix.entries if isinstance(matrix, MetaMatrix) else matrix)
     n = len(grid)
     if n == 0 or any(len(r) != n for r in grid):
         raise DomainError("total positivity test needs a square matrix")
-    guard(n, METAMATRIX_CAP, "all-minors positivity scan")
+    guard(n, METAMATRIX_CAP, "solid-minor positivity by condensation")
     below, minors = [[1] * n] * n, grid
     for k in range(1, n + 1):
         for i, row in enumerate(minors):

@@ -3,7 +3,9 @@
 Every expensive operation is capped at a weight where exact computation
 stays in the seconds-to-minutes range.  Setting the environment variable
 CONTINGENCY_MAX_N to a larger integer raises all guards at once; it can
-never lower them below the built-in defaults.
+never lower them below the built-in defaults.  A run over all of CM_n
+enters through ``census_guard``, which checks its weight and names |CM_n|
+in a refusal, so the command-line interface holds no cap.
 
 The two kinds of contraction and the named sets of them live here too, so
 that the command-line parser reads its ``--kind`` and ``--strat`` choices
@@ -12,7 +14,7 @@ without loading the library.
 
 import os
 
-from .errors import CapacityError
+from .errors import CapacityError, positive_weight
 
 ENV_VAR = "CONTINGENCY_MAX_N"
 
@@ -45,21 +47,33 @@ STRATIFICATIONS = {
 }
 
 
-def effective_cap(default):
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        return max(default, int(raw))
-    except ValueError:
-        return default
-
-
 def guard(value, default_cap, what):
-    """Raise CapacityError when value exceeds the (possibly raised) cap."""
-    cap = effective_cap(default_cap)
+    """Raise CapacityError when value exceeds the cap: the default, or the
+    integer in CONTINGENCY_MAX_N when that is larger."""
+    try:
+        cap = max(default_cap, int(os.environ.get(ENV_VAR, default_cap)))
+    except ValueError:
+        cap = default_cap
     if value > cap:
         raise CapacityError(
             f"{what} is capped at {cap} (got {value}); "
             f"set {ENV_VAR} to raise the limit"
         )
+
+
+def census_guard(n, cap, what):
+    """The weight n of a run over all of CM_n, as ``positive_weight``
+    returns it, once ``guard`` lets it through.  A refusal of an n within
+    the meta-matrix cap ends with the size of the refused census,
+    '; |CM_n| = N', counted in closed form, so that an API caller and the
+    CLI read the same message."""
+    n = positive_weight(n)
+    try:
+        guard(n, cap, what)
+    except CapacityError as exc:
+        if n > METAMATRIX_CAP:
+            raise
+        from .counting import total_count
+
+        raise CapacityError(f"{exc}; |CM_{n}| = {total_count(n):,}") from None
+    return n

@@ -9,7 +9,7 @@ Indexing is 0-based: ``contract_partition(alpha, i)`` merges parts i and
 i+1.  Enumeration is in lexicographic order of the parts sequence.
 """
 
-from .errors import DomainError, exact_ints
+from .errors import DomainError, exact_ints, positive_weight
 from .frozen import Frozen
 from .limits import PARTITION_CAP, guard
 
@@ -57,10 +57,11 @@ def enumerate_ordered_partitions(n, p=None):
     There are C(n-1, p-1) of length p and 2^(n-1) in total, so n is capped
     at PARTITION_CAP.
     """
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
-    if p is not None and not 1 <= p <= n:
-        raise DomainError(f"length must satisfy 1 <= p <= {n}, got {p}")
+    n = positive_weight(n)
+    if p is not None:
+        (p,) = exact_ints((p,))
+        if not 1 <= p <= n:
+            raise DomainError(f"length must satisfy 1 <= p <= {n}, got {p}")
     guard(n, PARTITION_CAP, "ordered partition enumeration")
     out = []
 
@@ -143,8 +144,7 @@ def partition_to_subset(alpha):
 
 def subset_to_partition(cuts, n):
     """Inverse of partition_to_subset: rebuild alpha from cut points."""
-    if n < 1:
-        raise DomainError(f"weight must be positive, got {n}")
+    n = positive_weight(n)
     cuts = sorted(cuts)
     if cuts and (cuts[0] < 1 or cuts[-1] >= n):
         raise DomainError(f"cut points must lie in [1, {n - 1}], got {cuts}")

@@ -26,7 +26,7 @@ from operator import mul
 
 from .contingency import CmPoset, build_poset
 from .errors import DomainError, StructuralError, exact_ints
-from .limits import CONSTANT_SHEAF_CAP, SHEAF_DIM_CAP, STRATIFICATIONS, guard
+from .limits import CONSTANT_SHEAF_CAP, SHEAF_DIM_CAP, STRATIFICATIONS, census_guard, guard
 from .exactlinalg import determinant, parse_rational
 
 
@@ -180,7 +180,8 @@ def _json_int(value, what):
 
 def constant_sheaf(n, dim):
     """Every space of the same dimension, every cover map the identity."""
-    guard(n, CONSTANT_SHEAF_CAP, "constant sheaf construction")
+    n = census_guard(n, CONSTANT_SHEAF_CAP, "constant sheaf construction")
+    (dim,) = exact_ints((dim,))
     if dim < 0:
         raise DomainError("dimension must be nonnegative")
     guard(dim, SHEAF_DIM_CAP, "constant sheaf dimension")

@@ -38,7 +38,7 @@ from .contingency import (
 from .errors import DomainError, StructuralError, exact_ints
 from .exactlinalg import parse_rational
 from .frozen import Frozen
-from .limits import ANODYNE_CAP, ANODYNE_KINDS, ENUMERATION_CAP, guard
+from .limits import ANODYNE_CAP, ANODYNE_KINDS, ENUMERATION_CAP, census_guard
 from .partitions import OrderedPartition, as_partition, block_bounds
 
 
@@ -319,7 +319,7 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
     by their least element; the fibers are collected the same way, in
     element order, so the two lists compare as they stand.
     """
-    guard(n, ANODYNE_CAP, "anodyne equivalence classes")
+    n = census_guard(n, ANODYNE_CAP, "anodyne equivalence classes")
     kinds = tuple(sorted(set(kinds)))
     if kinds not in _FIBER_KEYS:
         raise DomainError(
@@ -358,7 +358,7 @@ def anodyne_classes(n, kinds=(HORIZONTAL, VERTICAL), poset=None):
 def anodyne_joins(n):
     """``anodyne_classes`` for each entry of ``ANODYNE_KINDS``, keyed by
     its name in sorted order, on one build of CM_n."""
-    guard(n, ANODYNE_CAP, "anodyne equivalence classes")
+    n = census_guard(n, ANODYNE_CAP, "anodyne equivalence classes")
     poset = build_poset(n)
     return {
         name: anodyne_classes(n, kinds, poset)
@@ -374,7 +374,7 @@ def meet_check(n):
     The row tuples of CM_n are grouped on the raw label keys, with no
     ContingencyMatrix built; the two labels are built, and checked, once
     per group."""
-    guard(n, ENUMERATION_CAP, "label-pair grouping")
+    n = census_guard(n, ENUMERATION_CAP, "label-pair grouping")
     groups = {}
     for rows in _cm_rows(n):
         key = (_fnf_key(rows), _line_key(rows))

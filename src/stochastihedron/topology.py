@@ -61,7 +61,7 @@ from . import contingency
 from .errors import DomainError
 from .exactlinalg import smith_normal_form
 from .frozen import Frozen
-from .limits import SPHERICITY_CAP, guard
+from .limits import SPHERICITY_CAP, census_guard
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def verify_sphericity(n, progress=None):
     ``progress``, if given, is called as progress(done, total) after each
     cell.  See ``check_sphericity``.
     """
-    guard(n, SPHERICITY_CAP, "sphericity verification")
+    n = census_guard(n, SPHERICITY_CAP, "sphericity verification")
     return check_sphericity(contingency.build_poset(n), progress)
 
 

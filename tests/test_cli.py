@@ -414,6 +414,24 @@ def test_capacity_errors_of_the_poset_commands_name_the_census(argv, size):
     assert "Traceback" not in proc.stderr
 
 
+def test_sheaf_check_names_a_refused_census(monkeypatch, capsys, tmp_path):
+    # the size comes with the library's refusal, so sheaf-check names it too
+    monkeypatch.delenv("CONTINGENCY_MAX_N", raising=False)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": 8, "spaces": {"0": 1}, "maps": []}))
+    assert cli.main(["--stable", "sheaf-check", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "capacity exceeded: contingency poset construction is capped at 7 (got 8); "
+        "set CONTINGENCY_MAX_N to raise the limit; |CM_8| = 9,132,865\n"
+    )
+
+
+@pytest.mark.parametrize("dim", ["-1", "9"])
+def test_constant_sheaf_checks_the_weight_before_the_dimension(capsys, dim):
+    assert cli.main(["--stable", "constant-sheaf", "--n", "0", "--dim", dim]) == 2
+    assert capsys.readouterr().err == "error: weight must be positive, got 0\n"
+
+
 def test_a_refused_dimension_does_not_name_the_census(monkeypatch, capsys):
     monkeypatch.delenv("CONTINGENCY_MAX_N", raising=False)
     assert cli.main(["--stable", "constant-sheaf", "--n", "6", "--dim", "9"]) == 3
