@@ -39,15 +39,7 @@ _EXPORTS = {
         "is_anodyne",
         "margins",
     ),
-    "topology": (
-        "FinitePoset",
-        "HomologyProfile",
-        "SimplicialComplex",
-        "homology",
-        "lower_interval",
-        "order_complex",
-        "verify_sphericity",
-    ),
+    "topology": ("FinitePoset", "HomologyProfile", "lower_interval", "verify_sphericity"),
     "counting": (
         "MetaMatrix",
         "f_vector",

@@ -504,10 +504,10 @@ class CmPoset:
     """
 
     def __init__(self, n):
-        # the census by size refuses a bad n as enumerate_cm would, and
-        # counts CM_n and its covers without enumerating it: a p x q
-        # element has p - 1 row merges and q - 1 column merges, all
-        # distinct and all in CM_n
+        # the census by size counts CM_n and its covers without enumerating
+        # it: a p x q element has p - 1 row merges and q - 1 column merges,
+        # all distinct and all in CM_n
+        n = census_guard(n, ENUMERATION_CAP, "contingency poset construction")
         sizes = count_cm_by_size(n)
         self.n = n
         self._size = sum(sizes.values())
@@ -614,8 +614,8 @@ class CmPoset:
 
 
 def build_poset(n):
-    """Enumerate CM_n; its covers are recorded when ``up`` is first read."""
-    return CmPoset(census_guard(n, ENUMERATION_CAP, "contingency poset construction"))
+    """CM_n; its covers are recorded when ``up`` is first read."""
+    return CmPoset(n)
 
 
 def poset_covers_json(poset):

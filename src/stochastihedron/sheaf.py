@@ -96,7 +96,7 @@ class PosetRepresentation:
         poset = build_poset(_json_int(data["n"], '"n"'))
         dims = [0] * len(poset)
         for key, value in data["spaces"].items():
-            i = _json_int(key, "space key")
+            i = _json_int(key, "space key", key=True)
             if not 0 <= i < len(poset):
                 raise StructuralError(f"space index {i} out of range")
             dims[i] = _json_int(value, f"dimension of space {i}")
@@ -168,9 +168,10 @@ def _texts(rows, den):
     return [[str(Fraction(x, den)) for x in row] for row in rows]
 
 
-def _json_int(value, what):
-    """An integer from JSON; object keys arrive as decimal strings."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+def _json_int(value, what, key=False):
+    """An integer from JSON: an int that is not a bool, or, for an object
+    ``key``, which JSON writes as a string, also a decimal string."""
+    if isinstance(value, (int, str) if key else int) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:

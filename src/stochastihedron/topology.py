@@ -1,21 +1,18 @@
-"""Reduced integral homology of order complexes and of the cellular
-chains of the contraction poset.
+"""Reduced integral homology of the cellular chains of the contraction
+poset.
 
 One core, ``chain_homology``, takes a chain complex given as cells with
-degrees and signed face lists.  Two producers feed it:
-
-* ``homology`` takes a simplicial complex, such as the order complex of a
-  finite poset, with sign (-1)^k on face k.
-* ``check_sphericity`` takes CM_n itself: one cell per element, in the
-  degree of its rank 2n-(p+q), with its covers as faces.  CM_n is the face
-  poset of a regular CW ball, so the strict lower interval P<M should be a
-  sphere of dimension rank(M)-1.  By Bjorner ("Posets, regular CW
-  complexes and Bruhat order", Europ. J. Combin. 5, 1984), once every P<y
-  with y < M is a homology sphere of dimension rank(y)-1, P<M has the
-  homology of its cellular chain complex under any +-1 incidences whose
-  boundary of a boundary is zero.  That route is valid only in rank order,
-  so a cell with a failed cell below it fails, as does a cell that lists a
-  facet which is not one of its covers or whose signs do not cancel.
+degrees and signed face lists.  ``check_sphericity`` feeds it CM_n itself:
+one cell per element, in the degree of its rank 2n-(p+q), with its covers
+as faces.  CM_n is the face poset of a regular CW ball, so the strict lower
+interval P<M should be a sphere of dimension rank(M)-1.  By Bjorner
+("Posets, regular CW complexes and Bruhat order", Europ. J. Combin. 5,
+1984), once every P<y with y < M is a homology sphere of dimension
+rank(y)-1, P<M has the homology of its cellular chain complex under any
++-1 incidences whose boundary of a boundary is zero.  That route is valid
+only in rank order, so a cell with a failed cell below it fails, as does a
+cell that lists a facet which is not one of its covers or whose signs do
+not cancel.
 
 The incidences have a closed form.  The contingency cell of a p x q matrix
 is a product of two chambers, x_1 < ... < x_p times y_1 < ... < y_q.  In
@@ -113,14 +110,7 @@ class HomologyProfile(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# finite posets and simplicial complexes
-
-def _bits(mask):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
+# finite posets
 
 class FinitePoset:
     """A finite strict order on labels, encoded by 'strictly above' bitmasks
@@ -137,94 +127,8 @@ class FinitePoset:
         return len(self.labels)
 
 
-class SimplicialComplex:
-    """Vertices plus simplices grouped by dimension.
-
-    Simplices are strictly increasing tuples of vertex indices; the family
-    must be closed under taking faces.
-    """
-
-    def __init__(self, vertices, simplices_by_dim, check=True):
-        self.vertices = tuple(vertices)
-        self.simplices = tuple(
-            tuple(tuple(s) for s in level) for level in simplices_by_dim
-        )
-        while self.simplices and not self.simplices[-1]:
-            self.simplices = self.simplices[:-1]
-        if check:
-            self._check()
-
-    def _check(self):
-        nv = len(self.vertices)
-        seen = [set(level) for level in self.simplices]
-        if nv and not self.simplices:
-            raise DomainError("vertices present but no dimension-0 simplices")
-        if self.simplices and sorted(self.simplices[0]) != [(i,) for i in range(nv)]:
-            raise DomainError("dimension-0 simplices must list every vertex once")
-        for d, level in enumerate(self.simplices):
-            for s in level:
-                if len(s) != d + 1:
-                    raise DomainError(f"simplex {s} listed in dimension {d}")
-                if any(not 0 <= v < nv for v in s):
-                    raise DomainError(f"vertex index out of range in {s}")
-                if any(a >= b for a, b in zip(s, s[1:])):
-                    raise DomainError(f"simplex {s} is not strictly increasing")
-                if d > 0:
-                    for k in range(d + 1):
-                        if s[:k] + s[k + 1 :] not in seen[d - 1]:
-                            raise DomainError(f"face of {s} is missing")
-
-
-def order_complex(poset):
-    """The complex of chains of a finite poset: r-simplices are chains of
-    r+1 distinct comparable elements."""
-    m = len(poset)
-    # linear extension: anything above i has a strictly smaller above-set
-    order = sorted(range(m), key=lambda i: (-poset.above[i].bit_count(), i))
-    pos = [0] * m
-    for new, old in enumerate(order):
-        pos[old] = new
-    vertices = tuple(poset.labels[old] for old in order)
-    up = [sorted(pos[j] for j in _bits(poset.above[old])) for old in order]
-
-    levels = []
-
-    def extend(chain, last):
-        d = len(chain) - 1
-        if d == len(levels):
-            levels.append([])
-        levels[d].append(chain)
-        for v in up[last]:
-            extend(chain + (v,), v)
-
-    for v0 in range(m):
-        extend((v0,), v0)
-    return SimplicialComplex(vertices, levels, check=False)
-
-
 # ---------------------------------------------------------------------------
 # homology
-
-def homology(complex_):
-    """Reduced integral homology of a simplicial complex.
-
-    The chain complex has one cell per simplex plus the empty simplex in
-    degree -1, and face k of a simplex carries the sign (-1)^k; the work is
-    done by ``chain_homology``.
-    """
-    dims = [-1]
-    faces = [()]
-    signs = [()]
-    index = {(): 0}
-    for d, level in enumerate(complex_.simplices):
-        alternating = tuple(1 if k % 2 == 0 else -1 for k in range(d + 1))
-        for s in level:
-            faces.append(tuple(index[s[:k] + s[k + 1 :]] for k in range(d + 1)))
-            signs.append(alternating)
-            index[s] = len(dims)
-            dims.append(d)
-    return chain_homology(dims, faces, signs)
-
 
 def chain_homology(dims, faces, signs):
     """Reduced integral homology of a finite chain complex by coreductions,

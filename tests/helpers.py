@@ -21,7 +21,7 @@ from operator import add
 from stochastihedron.contingency import HORIZONTAL, KINDS, VERTICAL, build_poset
 from stochastihedron.exactlinalg import determinant
 from stochastihedron.sheaf import PosetRepresentation
-from stochastihedron.topology import SimplicialComplex
+from stochastihedron.topology import chain_homology
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -194,24 +194,45 @@ def rescaled(rep, rng):
     return PosetRepresentation(rep.poset, rep.dims, maps)
 
 
+def bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
 def complex_from_simplices(vertex_count, simplices):
-    """Close an arbitrary family of simplices (vertex-index tuples) under
-    faces; vertices not covered stay as isolated 0-simplices."""
-    levels = {}
-    stack = [tuple(sorted(set(s))) for s in simplices]
-    stack.extend((v,) for v in range(vertex_count))
-    seen = set()
-    while stack:
-        s = stack.pop()
-        if s in seen or not s:
-            continue
-        seen.add(s)
-        levels.setdefault(len(s) - 1, set()).add(s)
-        if len(s) > 1:
-            stack.extend(s[:k] + s[k + 1 :] for k in range(len(s)))
-    top = max(levels) if levels else -1
-    by_dim = [sorted(levels.get(d, ())) for d in range(top + 1)]
-    return SimplicialComplex(tuple(range(vertex_count)), by_dim)
+    """The sorted simplices by dimension of the closure of a family of vertex
+    tuples under faces, with every vertex in range(vertex_count)."""
+    faces = {(v,) for v in range(vertex_count)}
+    for s in simplices:
+        s = sorted(set(s))
+        faces.update(f for k in range(1, len(s) + 1) for f in combinations(s, k))
+    top = max(map(len, faces), default=0)
+    return [sorted(f for f in faces if len(f) == d + 1) for d in range(top)]
+
+
+def order_complex(poset):
+    """The chains of a finite poset given by its ``above`` masks, such as a
+    ``lower_interval``, by dimension, each chain listed upwards: the oracle
+    for the cellular chains of ``check_sphericity``."""
+    levels, chains = [], [(v,) for v in range(len(poset.above))]
+    while chains:
+        levels.append(chains)
+        chains = [c + (v,) for c in chains for v in bits(poset.above[c[-1]])]
+    return levels
+
+
+def homology(levels):
+    """Reduced homology of simplices by dimension, each listed in an order
+    that its faces keep, by ``chain_homology``: the empty simplex is cell 0,
+    and face k has sign (-1)^k."""
+    cells = [()] + [s for level in levels for s in level]
+    index = {s: c for c, s in enumerate(cells)}
+    faces = [tuple(index[s[:k] + s[k + 1 :]] for k in range(len(s))) for s in cells]
+    signs = [tuple((-1) ** k for k in range(len(s))) for s in cells]
+    return chain_homology([len(s) - 1 for s in cells], faces, signs)
 
 
 def rank_functor(poset, rng, dims=None):

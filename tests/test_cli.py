@@ -636,6 +636,22 @@ def _first_map(rep):
             "must be an integer",
             id="to-not-int",
         ),
+        # only an object key is read from a decimal string
+        pytest.param(
+            lambda r: r.update({"n": " 2 ", "spaces": {"0": "1"}, "maps": []}),
+            "\"n\" must be an integer, got ' 2 '",
+            id="n-string",
+        ),
+        pytest.param(
+            lambda r: r["spaces"].update({"0": "1"}),
+            "space 0 must be an integer",
+            id="dimension-string",
+        ),
+        pytest.param(
+            lambda r: _first_map(r).update({"from": "1"}),
+            '"from" must be an integer',
+            id="from-string",
+        ),
         pytest.param(
             lambda r: r["spaces"].update({"x": 1}),
             "must be an integer",
@@ -711,7 +727,7 @@ def test_representation_dimension_is_capped(tmp_path):
     assert proc.returncode == 3
     assert "capped" in proc.stderr
     path = tmp_path / "rep.json"
-    path.write_text(json.dumps({"n": 2, "spaces": {"0": "1000000000"}, "maps": []}))
+    path.write_text(json.dumps({"n": 2, "spaces": {"0": 1000000000}, "maps": []}))
     proc = run_cli("--stable", "sheaf-check", "--input", str(path))
     assert proc.returncode == 3
     assert "capped" in proc.stderr

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from helpers import block_sum_leq
+from helpers import bits, block_sum_leq
 
 from stochastihedron import contingency
 from stochastihedron.contingency import (
@@ -563,13 +563,6 @@ def test_poset_n1_and_n2():
     assert len(poset.covers) == 6
 
 
-def _bits(mask):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
 def _transitive_closure(above):
     """Close 'strictly above' bitmasks under transitivity, to a fixpoint."""
     above = list(above)
@@ -578,7 +571,7 @@ def _transitive_closure(above):
         changed = False
         for i, mask in enumerate(above):
             acc = mask
-            for j in _bits(mask):
+            for j in bits(mask):
                 acc |= above[j]
             if acc != mask:
                 above[i] = acc
@@ -625,7 +618,7 @@ def test_order_is_closure_of_both_single_kind_orders():
                 ]
                 assert list(interval.labels) == members
                 for k, g in enumerate(members):
-                    assert set(_bits(interval.above[k])) == {
+                    assert set(bits(interval.above[k])) == {
                         kh for kh, h in enumerate(members) if mixed[g] >> h & 1
                     }
 

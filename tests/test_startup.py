@@ -96,12 +96,16 @@ def test_every_public_name_is_its_defining_modules_object():
             f"stochastihedron.{stochastihedron._MODULE_OF[name]}")
         assert getattr(stochastihedron, name) is getattr(module, name), name
     assert set(stochastihedron.__all__) <= set(dir(stochastihedron))
+    for name in ("FinitePoset", "lower_interval", "HomologyProfile", "verify_sphericity"):
+        assert stochastihedron._MODULE_OF[name] == "topology", name
 
 
 def test_an_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        stochastihedron.no_such_name
-    assert not hasattr(stochastihedron, "no_such_name")
+    # the order-complex route is a test oracle (tests/helpers.py), not a public name
+    for name in ("no_such_name", "homology", "order_complex", "SimplicialComplex"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(stochastihedron, name)
+        assert not hasattr(stochastihedron, name)
 
 
 def test_star_import_binds_every_public_name():
