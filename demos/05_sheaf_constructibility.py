@@ -15,7 +15,6 @@ from stochastihedron import (
     build_poset,
     constant_sheaf,
     is_constructible,
-    skyscraper,
     validate,
 )
 
@@ -28,8 +27,9 @@ for strat in ("cont", "fnf", "ifnf", "complex"):
 
 print("\nA skyscraper at the maximal cell also passes (no anodyne cover")
 print("reaches the 1x1 matrix: merged slices there always share support):")
-poset = build_poset(3)
-sky = skyscraper(poset, 0)  # canonical order puts the 1x1 matrix first
+# one dimension at element 0, the 1x1 matrix in canonical order; the JSON
+# form leaves out the empty maps at the zero-dimensional spaces
+sky = PosetRepresentation.from_json({"n": 3, "spaces": {"0": 1}, "maps": []})
 validate(sky)
 print(f"  complex-constructible: {is_constructible(sky, 'complex')[0]}")
 

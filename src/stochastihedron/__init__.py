@@ -31,10 +31,8 @@ _EXPORTS = {
         "CmPoset",
         "ContingencyMatrix",
         "build_poset",
-        "colored_lift_count",
         "contract",
         "count_cm",
-        "double_coset_count",
         "enumerate_cm",
         "is_anodyne",
         "margins",
@@ -44,7 +42,6 @@ _EXPORTS = {
         "MetaMatrix",
         "f_vector",
         "fubini",
-        "generalized_count",
         "metamatrix",
         "stirling_first",
         "stirling_second",
@@ -69,7 +66,6 @@ _EXPORTS = {
         "PosetRepresentation",
         "constant_sheaf",
         "is_constructible",
-        "skyscraper",
         "validate",
     ),
 }

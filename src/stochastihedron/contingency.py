@@ -15,16 +15,13 @@ adjacent columns.  Canonical element order is lexicographic on
 (p, q, row-flattened entries), which fixes every report byte-for-byte.
 """
 
-import itertools
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
-from math import factorial
 from operator import add, lshift
 
 from .errors import DomainError, exact_grid, exact_ints, positive_weight
 from .frozen import Frozen
 from .limits import (
-    DOUBLE_COSET_CAP,
     ENUMERATION_CAP,
     HORIZONTAL,
     VERTICAL,
@@ -335,66 +332,6 @@ def count_cm(n=None, p=None, q=None, alpha=None, beta=None):
     return sum(count_cm_by_size(n, p, q, alpha, beta).values())
 
 
-def colored_lift_count(matrix):
-    """n! / prod (m_ij)!: the number of colored matrices over this one."""
-    n = matrix.weight
-    denom = 1
-    for row in matrix.rows:
-        for x in row:
-            if x > 1:
-                denom *= factorial(x)
-    return factorial(n) // denom
-
-
-def double_coset_count(alpha, beta):
-    """|S_alpha \\ S_n / S_beta| by literal orbit enumeration inside S_n.
-
-    This is the independent oracle for the double-coset description of
-    CM_n(alpha, beta); it never consults the matrix enumeration.
-    """
-    alpha = as_partition(alpha)
-    beta = as_partition(beta)
-    if alpha.weight != beta.weight:
-        raise DomainError(f"weights differ: {alpha.weight} vs {beta.weight}")
-    n = alpha.weight
-    guard(n, DOUBLE_COSET_CAP, "double-coset orbit enumeration")
-
-    def block_transpositions(partition):
-        gens = []
-        offset = 0
-        for part in partition.parts:
-            for k in range(offset, offset + part - 1):
-                t = list(range(n))
-                t[k], t[k + 1] = t[k + 1], t[k]
-                gens.append(tuple(t))
-            offset += part
-        return gens
-
-    left = block_transpositions(alpha)
-    right = block_transpositions(beta)
-    seen = set()
-    orbits = 0
-    for g in itertools.permutations(range(n)):
-        if g in seen:
-            continue
-        orbits += 1
-        stack = [g]
-        seen.add(g)
-        while stack:
-            h = stack.pop()
-            for a in left:
-                img = tuple(a[h[i]] for i in range(n))
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-            for b in right:
-                img = tuple(h[b[i]] for i in range(n))
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-    return orbits
-
-
 # ---------------------------------------------------------------------------
 # the contraction poset
 
@@ -419,7 +356,7 @@ def _cut_mask(rows, n):
 class _CoverView:
     """A read-only view of every cover as (child, parent, kind, position),
     read off ``up`` through ``_walk``; it stores no cover.  Its length is
-    counted from the census by size, so counting builds no ``up``."""
+    counted from the meta-matrix, so counting builds no ``up``."""
 
     __slots__ = ("_poset",)
 
@@ -479,9 +416,10 @@ _ORDERS = {
 class CmPoset:
     """CM_n with its covers (single contractions) and the contraction order.
 
-    ``CmPoset(n)`` counts CM_n and its covers by size at once, and
-    enumerates ``elements``, CM_n in canonical order, on first read.  CM_n
-    is closed under contraction and transposition, which ``up`` relies on.
+    ``CmPoset(n)`` counts CM_n and its covers by size at once, off the
+    meta-matrix ``counting.metamatrix(n)``, and enumerates ``elements``,
+    CM_n in canonical order, on first read.  CM_n is closed under
+    contraction and transposition, which ``up`` relies on.
     ``up[i]``, the one record of the covers, holds the indices of i's
     parents: first contract(i, "horizontal", pos) for pos = 0, 1, ..., then
     contract(i, "vertical", pos), so a parent's place in ``up[i]`` gives the
@@ -504,14 +442,19 @@ class CmPoset:
     """
 
     def __init__(self, n):
-        # the census by size counts CM_n and its covers without enumerating
-        # it: a p x q element has p - 1 row merges and q - 1 column merges,
-        # all distinct and all in CM_n
+        # the meta-matrix, M(n)[p-1][q-1] = |CM_n(p, q)| in closed form,
+        # counts CM_n and its covers without enumerating it: a p x q element
+        # has p - 1 row merges and q - 1 column merges, all distinct and all
+        # in CM_n, so p + q of them with 0-based p and q
+        from .counting import metamatrix
+
         n = census_guard(n, ENUMERATION_CAP, "contingency poset construction")
-        sizes = count_cm_by_size(n)
+        sizes = metamatrix(n).entries
         self.n = n
-        self._size = sum(sizes.values())
-        self._cover_count = sum((p + q - 2) * k for (p, q), k in sizes.items())
+        self._size = sum(map(sum, sizes))
+        self._cover_count = sum(
+            (p + q) * k for p, row in enumerate(sizes) for q, k in enumerate(row)
+        )
 
     @cached_property
     def elements(self):

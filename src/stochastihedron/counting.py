@@ -64,28 +64,6 @@ def fubini(k):
     return sum(factorial(p) * stirling_second(k, p) for p in range(1, k + 1))
 
 
-def generalized_count(n, p, q):
-    """Matrices of size p x q and weight n with zero rows/columns allowed:
-    C(n + pq - 1, n)."""
-    if n < 0 or p < 1 or q < 1:
-        raise DomainError("need n >= 0 and p, q >= 1")
-    return comb(n + p * q - 1, n)
-
-
-def metamatrix_entry(n, p, q):
-    """Count of p x q contingency matrices of weight n by inclusion-exclusion
-    over deleted zero rows and columns, one entry on its own (the reference
-    that ``metamatrix`` is tested against)."""
-    return sum(
-        (-1) ** (i + j + p + q)
-        * comb(p, i)
-        * comb(q, j)
-        * comb(n + i * j - 1, n)
-        for i in range(1, p + 1)
-        for j in range(1, q + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the meta-matrix itself
 

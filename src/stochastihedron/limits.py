@@ -21,7 +21,6 @@ ENV_VAR = "CONTINGENCY_MAX_N"
 ENUMERATION_CAP = 7       # CM_n: its census, contraction order and label pairs
 SPHERICITY_CAP = 6        # homology of every lower interval
 ANODYNE_CAP = 5           # union-find over anodyne contractions
-DOUBLE_COSET_CAP = 6      # orbit enumeration inside S_n
 CONSTANT_SHEAF_CAP = 6    # constant sheaf: covers and diamonds of CM_n
 SHEAF_DIM_CAP = 8         # dimension of one space of a representation
 METAMATRIX_CAP = 40       # M(n), its identities, determinant and positivity

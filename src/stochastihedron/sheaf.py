@@ -192,18 +192,6 @@ def constant_sheaf(n, dim):
     return PosetRepresentation(poset, [dim] * len(poset), maps)
 
 
-def skyscraper(poset, at_index):
-    """Dimension one at one element, zero elsewhere; empty matrices
-    everywhere."""
-    dims = [0] * len(poset)
-    dims[at_index] = 1
-    maps = {}
-    for child, parents in enumerate(poset.up):
-        for parent in parents:
-            maps[(child, parent)] = [[0] * dims[child] for _ in range(dims[parent])]
-    return PosetRepresentation(poset, dims, maps)
-
-
 def _product(a, b, cols_n):
     """Integer product a . b; cols_n keeps the shape when b has no rows."""
     if not b:

@@ -27,6 +27,7 @@ fractions, never a floating-point tolerance.
 
 import itertools
 from fractions import Fraction
+from numbers import Rational
 
 from .contingency import (
     HORIZONTAL,
@@ -42,13 +43,30 @@ from .limits import ANODYNE_CAP, ANODYNE_KINDS, ENUMERATION_CAP, census_guard
 from .partitions import OrderedPartition, as_partition, block_bounds
 
 
+def _exact_point(point):
+    """A point (re, im) as a pair of Fractions.  Each coordinate must be an
+    int or a Fraction (``numbers.Rational``): a float, string or None
+    raises ``DomainError``, as does a point that is not a pair."""
+    try:
+        re, im = point
+    except (TypeError, ValueError):
+        raise DomainError(f"a point must be a pair (re, im), got {point!r}") from None
+    if not (isinstance(re, Rational) and isinstance(im, Rational)):
+        raise DomainError(f"coordinates must be ints or Fractions, got {point!r}")
+    return Fraction(re), Fraction(im)
+
+
 class PointConfiguration(Frozen):
-    """A multiset of points (re, im) with exact rational coordinates."""
+    """A multiset of points (re, im) with exact rational coordinates, each
+    an int or a Fraction; ``from_json`` parses text into Fractions first."""
 
     __slots__ = ("points",)  # tuple of (Fraction, Fraction), stored sorted
 
     def __init__(self, points):
-        pts = tuple(sorted((Fraction(re), Fraction(im)) for re, im in points))
+        try:
+            pts = tuple(sorted(map(_exact_point, points)))
+        except TypeError:  # points is not iterable
+            raise DomainError(f"points must be a list of pairs, got {points!r}") from None
         if not pts:
             raise DomainError("a configuration needs at least one point")
         object.__setattr__(self, "points", pts)

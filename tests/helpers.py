@@ -15,7 +15,8 @@ import os
 import pathlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations, permutations
+from math import comb, factorial
 from operator import add
 
 from stochastihedron.contingency import HORIZONTAL, KINDS, VERTICAL, build_poset
@@ -176,6 +177,81 @@ def all_minors_scan(grid):
                         "value": minor,
                     }
     return True, None
+
+
+def metamatrix_entry(n, p, q):
+    """Count of p x q contingency matrices of weight n by inclusion-exclusion
+    over deleted zero rows and columns, one entry on its own: the reference
+    for ``counting.metamatrix``, which takes all n^2 entries as one product."""
+    return sum(
+        (-1) ** (i + j + p + q)
+        * comb(p, i)
+        * comb(q, j)
+        * comb(n + i * j - 1, n)
+        for i in range(1, p + 1)
+        for j in range(1, q + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the S_n oracle: plain tuples in, counts out, nothing of the library read
+
+def colored_lifts(rows):
+    """n! / prod m_ij!: the colored matrices over the matrix with these rows."""
+    lifts = factorial(sum(map(sum, rows)))
+    for x in chain.from_iterable(rows):
+        lifts //= factorial(x)
+    return lifts
+
+
+def double_coset_count(alpha, beta):
+    """|S_alpha \\ S_n / S_beta| for two compositions of n given as tuples,
+    by orbit search inside S_n: the oracle for the double-coset census of
+    CM_n(alpha, beta).  S_alpha acts on the values of a permutation (swap
+    k and k+1 inside a block of alpha), S_beta on its positions."""
+    n = sum(alpha)
+
+    def swaps(parts):
+        # k such that k and k+1 lie in one block of parts
+        cuts = set(accumulate(parts))
+        return [k for k in range(n - 1) if k + 1 not in cuts]
+
+    left, right = swaps(alpha), swaps(beta)
+    seen = set()
+    orbits = 0
+    for g in permutations(range(n)):
+        if g in seen:
+            continue
+        orbits += 1
+        seen.add(g)
+        stack = [g]
+        while stack:
+            h = stack.pop()
+            images = [
+                tuple(k + 1 if x == k else k if x == k + 1 else x for x in h)
+                for k in left
+            ]
+            images += [h[:k] + (h[k + 1], h[k]) + h[k + 2 :] for k in right]
+            for image in images:
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return orbits
+
+
+# ---------------------------------------------------------------------------
+# representations
+
+def skyscraper(poset, at_index):
+    """Dimension one at one element, zero elsewhere; empty matrices
+    everywhere."""
+    dims = [0] * len(poset)
+    dims[at_index] = 1
+    maps = {}
+    for child, parents in enumerate(poset.up):
+        for parent in parents:
+            maps[(child, parent)] = [[0] * dims[child] for _ in range(dims[parent])]
+    return PosetRepresentation(poset, dims, maps)
 
 
 def rescaled(rep, rng):

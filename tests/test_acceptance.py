@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from helpers import representation_suite
+from helpers import colored_lifts, double_coset_count, representation_suite
 
 from stochastihedron import strata
 from stochastihedron.contingency import (
@@ -22,10 +22,8 @@ from stochastihedron.contingency import (
     VERTICAL,
     ContingencyMatrix,
     build_poset,
-    colored_lift_count,
     count_cm,
     count_cm_by_size,
-    double_coset_count,
     enumerate_cm,
 )
 from stochastihedron.counting import f_vector, metamatrix, total_count
@@ -143,8 +141,8 @@ def test_criterion_08_double_cosets_and_coloring():
         for alpha in partitions:
             for beta in partitions:
                 matrices = enumerate_cm(alpha=alpha, beta=beta)
-                ok = ok and double_coset_count(alpha, beta) == len(matrices)
-                lhs = sum(colored_lift_count(m) for m in matrices)
+                ok = ok and double_coset_count(alpha.parts, beta.parts) == len(matrices)
+                lhs = sum(colored_lifts(m.rows) for m in matrices)
                 mult_a = factorial(n)
                 for a in alpha.parts:
                     mult_a //= factorial(a)

@@ -388,7 +388,7 @@ def test_caps_trip_before_the_work(argv, cap):
     (("enumerate", "--n", "41"), ""),
     (("enumerate", "--n", "8", "--p", "2"), ""),
     (("enumerate", "--alpha", "4,4"), ""),
-    (("enumerate", "--what", "partitions", "--n", "21"), ""),
+    (("enumerate", "--what", "partitions", "--n", "21"), "; 1,048,576 ordered partitions"),
     (("f-vector", "--n", "41"), ""),
 ])
 def test_capacity_errors_name_the_refused_census(monkeypatch, capsys, argv, size):
@@ -397,7 +397,7 @@ def test_capacity_errors_name_the_refused_census(monkeypatch, capsys, argv, size
     assert cli.main(["--stable", *argv]) == 3
     err = capsys.readouterr().err
     assert err.endswith("set CONTINGENCY_MAX_N to raise the limit" + size + "\n"), err
-    assert err.count("|CM_") == bool(size)
+    assert err.count("|CM_") == ("|CM_" in size)
 
 
 @pytest.mark.parametrize("argv, size", [

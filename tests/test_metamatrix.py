@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from helpers import all_minors_scan
+from helpers import all_minors_scan, metamatrix_entry
 
 from stochastihedron.contingency import count_cm, enumerate_cm
 from stochastihedron.errors import CapacityError, DomainError
@@ -13,14 +13,13 @@ from stochastihedron.counting import (
     MetaMatrix,
     f_vector,
     fubini,
-    generalized_count,
     metamatrix,
-    metamatrix_entry,
     stirling_first,
     stirling_second,
     total_count,
 )
 from stochastihedron.identities import (
+    BINOMIAL,
     det_metamatrix,
     structured_matrix,
     total_positivity,
@@ -76,10 +75,10 @@ def test_fubini_examples():
 
 
 def test_generalized_count_examples():
-    assert generalized_count(0, 1, 1) == 1
-    assert generalized_count(2, 2, 2) == 10
-    with pytest.raises(DomainError):
-        generalized_count(2, 0, 1)
+    # B_pq = C(n + pq - 1, n): p x q matrices of weight n, zero rows and
+    # columns allowed
+    assert structured_matrix(BINOMIAL, 1)[0][0] == 1
+    assert structured_matrix(BINOMIAL, 2)[1][1] == 10
 
 
 def test_generalized_count_vs_weighted_census():
@@ -89,10 +88,11 @@ def test_generalized_count_vs_weighted_census():
         for i in (1, 2)
         for j in (1, 2)
     )
-    assert lhs == generalized_count(2, 2, 2) == 10
+    assert lhs == structured_matrix(BINOMIAL, 2)[1][1] == 10
     # sum_ij C(p,i) C(q,j) M_ij = C(n+pq-1, n) on the census route
     for n in range(1, 8):
         m = metamatrix(n, method="enumeration")
+        generalized = structured_matrix(BINOMIAL, n)
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 lhs = sum(
@@ -100,7 +100,7 @@ def test_generalized_count_vs_weighted_census():
                     for i in range(1, p + 1)
                     for j in range(1, q + 1)
                 )
-                assert lhs == generalized_count(n, p, q)
+                assert lhs == generalized[p - 1][q - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from helpers import (
     representation_suite,
     rescaled,
     size_functor,
+    skyscraper,
 )
 
 import random
@@ -25,7 +26,6 @@ from stochastihedron.sheaf import (
     PosetRepresentation,
     constant_sheaf,
     is_constructible,
-    skyscraper,
     validate,
 )
 

@@ -1,13 +1,16 @@
 """What a run loads: the package resolves its public names on first access,
 and each CLI subcommand imports only the library modules it uses."""
 
+import ast
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import helpers
 from helpers import cli_env
 
 import stochastihedron
@@ -15,6 +18,8 @@ import stochastihedron
 # the CLI's module-level imports, loaded by every run
 BASE = {"errors", "limits", "jsonwriter"}
 CENSUS = BASE | {"contingency", "frozen", "partitions"}
+# CmPoset(n) counts CM_n and its covers off the meta-matrix
+POSET = CENSUS | {"counting"}
 
 
 def imported(argv):
@@ -55,18 +60,18 @@ RUNS = [
     (["metamatrix", "--n", "3", "--method", "enumeration"], 0, CENSUS | {"counting"}),
     (["enumerate", "--n", "2"], 0, CENSUS),
     (["enumerate", "--what", "partitions", "--n", "3"], 0, BASE | {"frozen", "partitions"}),
-    (["poset", "--n", "2"], 0, CENSUS),
-    (["poset", "--n", "8"], 3, CENSUS | {"counting"}),
-    (["sphericity", "--n", "2", "--jobs", "2"], 0, CENSUS | {"exactlinalg", "topology"}),
+    (["poset", "--n", "2"], 0, POSET),
+    (["poset", "--n", "8"], 3, POSET),
+    (["sphericity", "--n", "2", "--jobs", "2"], 0, POSET | {"exactlinalg", "topology"}),
     (["verify-identities", "--n", "3"], 0,
      CENSUS | {"counting", "exactlinalg", "identities"}),
     (["total-positivity", "--n", "3"], 0,
      BASE | {"counting", "exactlinalg", "frozen", "identities"}),
     (["classify", "--input", "{config}"], 0, CENSUS | {"exactlinalg", "strata"}),
-    (["anodyne-classes", "--n", "2"], 0, CENSUS | {"exactlinalg", "strata"}),
-    (["meet-join", "--n", "2"], 0, CENSUS | {"exactlinalg", "strata"}),
-    (["constant-sheaf", "--n", "1", "--dim", "1"], 0, CENSUS | {"exactlinalg", "sheaf"}),
-    (["sheaf-check", "--input", "{rep}"], 0, CENSUS | {"exactlinalg", "sheaf"}),
+    (["anodyne-classes", "--n", "2"], 0, POSET | {"exactlinalg", "strata"}),
+    (["meet-join", "--n", "2"], 0, POSET | {"exactlinalg", "strata"}),
+    (["constant-sheaf", "--n", "1", "--dim", "1"], 0, POSET | {"exactlinalg", "sheaf"}),
+    (["sheaf-check", "--input", "{rep}"], 0, POSET | {"exactlinalg", "sheaf"}),
 ]
 
 
@@ -100,12 +105,55 @@ def test_every_public_name_is_its_defining_modules_object():
         assert stochastihedron._MODULE_OF[name] == "topology", name
 
 
+# the order-complex route, the S_n oracle and the reference sheaf are test
+# oracles (tests/helpers.py), not public names
+ORACLES = (
+    "homology",
+    "order_complex",
+    "SimplicialComplex",
+    "double_coset_count",
+    "colored_lift_count",
+    "generalized_count",
+    "skyscraper",
+)
+
+
 def test_an_unknown_name_is_an_attribute_error():
-    # the order-complex route is a test oracle (tests/helpers.py), not a public name
-    for name in ("no_such_name", "homology", "order_complex", "SimplicialComplex"):
+    for name in ("no_such_name", *ORACLES):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(stochastihedron, name)
         assert not hasattr(stochastihedron, name)
+
+
+def test_the_oracles_left_their_modules():
+    from stochastihedron import contingency, counting, sheaf
+
+    assert not hasattr(counting, "generalized_count")
+    assert not hasattr(counting, "metamatrix_entry")
+    assert not hasattr(contingency, "double_coset_count")
+    assert not hasattr(contingency, "colored_lift_count")
+    assert not hasattr(sheaf, "skyscraper")
+
+
+def test_the_s_n_oracle_reads_nothing_of_the_library():
+    # double cosets and colored lifts are counted inside S_n from plain
+    # tuples, independently of the enumeration they check
+    tree = ast.parse(pathlib.Path(helpers.__file__).read_text(encoding="utf-8"))
+    library = {"stochastihedron"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("stochastihedron"):
+            library.update(alias.asname or alias.name for alias in node.names)
+    oracles = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("double_coset_count", "colored_lifts")
+    }
+    assert set(oracles) == {"double_coset_count", "colored_lifts"}
+    for name, node in oracles.items():
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert not read & library, name
+        assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))
 
 
 def test_star_import_binds_every_public_name():

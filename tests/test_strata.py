@@ -162,6 +162,29 @@ def test_configuration_json():
         PointConfiguration.from_json([1, 2])
 
 
+@pytest.mark.parametrize("points, message", [
+    ((("x", 0),), "coordinates must be ints or Fractions"),
+    ((("1/2", 0),), "coordinates must be ints or Fractions"),
+    (((None, 0),), "coordinates must be ints or Fractions"),
+    (((0.1, 0),), "coordinates must be ints or Fractions"),
+    (((0, 1.0),), "coordinates must be ints or Fractions"),
+    (((1,),), "a point must be a pair"),
+    (((1, 2, 3),), "a point must be a pair"),
+    ((1,), "a point must be a pair"),
+    (5, "points must be a list of pairs"),
+], ids=["str", "fraction-str", "None", "float", "float-im", "one", "three", "bare",
+        "not-a-list"])
+def test_a_configuration_refuses_inexact_or_malformed_points(points, message):
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, while
+    # from_json reads the JSON number 0.1 as 1/10: only ints and Fractions
+    # go in as they are
+    with pytest.raises(DomainError, match=f"^{message}"):
+        PointConfiguration(points)
+    assert PointConfiguration.from_json({"points": [{"re": 0.1, "im": 0}]}).points == (
+        (Fraction(1, 10), Fraction(0)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # closure order on labels
 
