@@ -10,8 +10,8 @@ The report is written in pieces, as it is encoded, by one writer
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
 elapsed_ms is read when the writer reaches it, after "details", so it
 counts serialization.  With --stable the elapsed_ms field is omitted so
-output is byte-identical across runs; --pretty renders a small
-human-readable summary instead.
+output is byte-identical across runs.  The report is the only output
+format; ``metamatrix --format csv`` puts its CSV text inside it.
 
 Exit code 0 when the command's check passes, 1 when a verification fails,
 2 for usage or malformed-input errors, 3 when a capacity guard trips, and
@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from collections.abc import Iterator
 
 from .errors import CapacityError, DomainError, StructuralError
 from .jsonwriter import write_json
@@ -302,7 +301,6 @@ def build_parser():
         prog="stochastihedron",
         description="Exact contingency-matrix combinatorics and verification.",
     )
-    parser.add_argument("--pretty", action="store_true", help="human-readable output")
     parser.add_argument(
         "--stable", action="store_true", help="omit timing for byte-identical output"
     )
@@ -379,33 +377,13 @@ def build_parser():
     return parser
 
 
-def _render_pretty(report):
-    lines = [f"{report['command']}: {'PASS' if report['pass'] else 'FAIL'}"]
-    for key, value in report["parameters"].items():
-        if value is not None:
-            lines.append(f"  {key} = {value}")
-    details = report["details"]
-    for key, value in details.items():
-        if isinstance(value, (str, int, bool)):
-            lines.append(f"  {key}: {value}")
-        elif isinstance(value, dict) and len(value) <= 12:
-            lines.append(f"  {key}:")
-            for k, v in value.items():
-                lines.append(f"    {k}: {v}")
-        elif isinstance(value, list):
-            lines.append(f"  {key}: [{len(value)} items]")
-        elif isinstance(value, Iterator):
-            lines.append(f"  {key}: [{sum(1 for _ in value)} items]")
-    return "\n".join(lines) + "\n"
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     parameters = {
         key: value
         for key, value in vars(args).items()
-        if key not in ("handler", "command", "pretty", "stable") and value is not None
+        if key not in ("handler", "command", "stable") and value is not None
     }
     started = time.monotonic()
     try:
@@ -432,11 +410,8 @@ def main(argv=None):
         return int((time.monotonic() - started) * 1000)
 
     try:
-        if args.pretty:
-            sys.stdout.write(_render_pretty(report))
-        else:
-            write_json(report, sys.stdout.write, elapsed_ms)
-            sys.stdout.write("\n")
+        write_json(report, sys.stdout.write, elapsed_ms)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: what is still buffered goes to devnull at exit

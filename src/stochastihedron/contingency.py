@@ -130,12 +130,6 @@ def _merge_rows(rows, i):
     return rows[:i] + (tuple(map(add, rows[i], rows[i + 1])),) + rows[i + 2 :]
 
 
-def _merge_columns(rows, i):
-    """The row tuples after adding columns i and i+1; the caller vouches
-    for the range."""
-    return tuple([r[:i] + (r[i] + r[i + 1],) + r[i + 2 :] for r in rows])
-
-
 def contract(matrix, kind, i):
     """Merge rows i, i+1 (horizontal) or columns i, i+1 (vertical).
 
@@ -143,8 +137,11 @@ def contract(matrix, kind, i):
     entries: sums of a valid matrix's entries form a valid matrix.
     """
     _check_position(matrix, kind, i)
-    merge = _merge_rows if kind == HORIZONTAL else _merge_columns
-    return ContingencyMatrix(merge(matrix.rows, i), check=False)
+    if kind == HORIZONTAL:
+        return ContingencyMatrix(_merge_rows(matrix.rows, i), check=False)
+    # merging columns is merging the transpose's rows, transposed back
+    columns = _merge_rows(tuple(zip(*matrix.rows)), i)
+    return ContingencyMatrix(tuple(zip(*columns)), check=False)
 
 
 def is_anodyne(matrix, kind, i):

@@ -61,6 +61,7 @@ def structured_matrix(kind, n):
     stirling_second S_pk   = S(k, p)            (unipotent upper triangular)
     stirling_scaled S*_pk  = p! S(k, p) / k!    (rational entries)
     """
+    n = positive_weight(n)
     r = range(1, n + 1)
     if kind == PASCAL:
         rows = [[comb(p, i) for i in r] for p in r]

@@ -1,22 +1,20 @@
 """Desk-scale capacity guards, and the named kind sets that options take.
 
 Every expensive operation is capped at a weight where exact computation
-stays in the seconds-to-minutes range.  Setting the environment variable
-CONTINGENCY_MAX_N to a larger integer raises all guards at once; it can
-never lower them below the built-in defaults.  A run over all of CM_n
-enters through ``census_guard``, which checks its weight and names |CM_n|
-in a refusal, so the command-line interface holds no cap.
+stays in the seconds-to-minutes range.  The caps are the constants below;
+a cap is changed here, with a measured run at the new value.  ``guard``
+is the one refusal: for a value within the meta-matrix cap its message
+ends with the size of the refused run, which the caller counts in closed
+form.  A run over all of CM_n enters through ``census_guard``, which
+checks its weight and names |CM_n|, so the command-line interface holds
+no cap.
 
 The two kinds of contraction and the named sets of them live here too, so
 that the command-line parser reads its ``--kind`` and ``--strat`` choices
 without loading the library.
 """
 
-import os
-
 from .errors import CapacityError, positive_weight
-
-ENV_VAR = "CONTINGENCY_MAX_N"
 
 ENUMERATION_CAP = 7       # CM_n: its census, contraction order and label pairs
 SPHERICITY_CAP = 6        # homology of every lower interval
@@ -46,18 +44,22 @@ STRATIFICATIONS = {
 }
 
 
-def guard(value, default_cap, what):
-    """Raise CapacityError when value exceeds the cap: the default, or the
-    integer in CONTINGENCY_MAX_N when that is larger."""
-    try:
-        cap = max(default_cap, int(os.environ.get(ENV_VAR, default_cap)))
-    except ValueError:
-        cap = default_cap
+def guard(value, cap, what, size=None):
+    """Raise CapacityError when value exceeds cap.  For a value within
+    METAMATRIX_CAP the message ends with '; ' and ``size(value)``, the
+    size of the refused run as text; above it a size is not counted, so
+    a huge number is never printed."""
     if value > cap:
-        raise CapacityError(
-            f"{what} is capped at {cap} (got {value}); "
-            f"set {ENV_VAR} to raise the limit"
-        )
+        message = f"{what} is capped at {cap} (got {value})"
+        if size is not None and value <= METAMATRIX_CAP:
+            message += f"; {size(value)}"
+        raise CapacityError(message)
+
+
+def _census_size(n):
+    from .counting import total_count  # loaded only for a refusal
+
+    return f"|CM_{n}| = {total_count(n):,}"
 
 
 def census_guard(n, cap, what):
@@ -67,12 +69,5 @@ def census_guard(n, cap, what):
     '; |CM_n| = N', counted in closed form, so that an API caller and the
     CLI read the same message."""
     n = positive_weight(n)
-    try:
-        guard(n, cap, what)
-    except CapacityError as exc:
-        if n > METAMATRIX_CAP:
-            raise
-        from .counting import total_count
-
-        raise CapacityError(f"{exc}; |CM_{n}| = {total_count(n):,}") from None
+    guard(n, cap, what, _census_size)
     return n

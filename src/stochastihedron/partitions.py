@@ -11,9 +11,9 @@ i+1.  Enumeration is in lexicographic order of the parts sequence.
 
 from math import comb
 
-from .errors import CapacityError, DomainError, exact_ints, positive_weight
+from .errors import DomainError, exact_ints, positive_weight
 from .frozen import Frozen
-from .limits import METAMATRIX_CAP, PARTITION_CAP, guard
+from .limits import PARTITION_CAP, guard
 
 
 class OrderedPartition(Frozen):
@@ -59,20 +59,19 @@ def enumerate_ordered_partitions(n, p=None):
     There are C(n-1, p-1) of length p and 2^(n-1) in total, so n is capped
     at PARTITION_CAP; a refusal of an n within the meta-matrix cap ends
     with that number, '; N ordered partitions', as a refused census names
-    |CM_n| (``limits.census_guard``).
+    |CM_n| (``limits.guard``).
     """
     n = positive_weight(n)
     if p is not None:
         (p,) = exact_ints((p,))
         if not 1 <= p <= n:
             raise DomainError(f"length must satisfy 1 <= p <= {n}, got {p}")
-    try:
-        guard(n, PARTITION_CAP, "ordered partition enumeration")
-    except CapacityError as exc:
-        if n > METAMATRIX_CAP:
-            raise
-        size = 2 ** (n - 1) if p is None else comb(n - 1, p - 1)
-        raise CapacityError(f"{exc}; {size:,} ordered partitions") from None
+
+    def size(n):
+        count = 2 ** (n - 1) if p is None else comb(n - 1, p - 1)
+        return f"{count:,} ordered partitions"
+
+    guard(n, PARTITION_CAP, "ordered partition enumeration", size)
     out = []
 
     def rec(remaining, length_left, prefix):

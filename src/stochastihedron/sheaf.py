@@ -22,6 +22,7 @@ on the hot paths; ``map_for`` gives the rational matrix back.
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from numbers import Rational
 from operator import mul
 
 from .contingency import CmPoset, build_poset
@@ -35,7 +36,9 @@ class PosetRepresentation:
 
     The matrix on a cover (child, parent) has shape dim(parent) x dim(child)
     and maps the child's space to the parent's.  The constructor takes
-    entries of any kind ``Fraction`` accepts; ``cover_maps`` holds each map
+    exact entries only, each an int or a Fraction (``numbers.Rational``): a
+    float, string or None raises ``StructuralError``, and ``from_json``
+    parses text into Fractions first.  ``cover_maps`` holds each map
     as ``(rows, den)``, a tuple of integer row tuples and the positive lcm
     of the entries' denominators, so equal rational maps are stored equal.
     ``map_for`` returns the map as a matrix of Fractions.
@@ -147,11 +150,19 @@ def _parse(value, parsed):
     return parsed[text]
 
 
+def _exact(x):
+    """An entry that is not an int or a Fraction: another
+    ``numbers.Rational`` as a Fraction; anything else is refused."""
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise StructuralError(f"map entries must be ints or Fractions, got {x!r}")
+
+
 def _integral(matrix):
     """(rows, den) with rows / den equal to the matrix; den is the lcm of
     the entries' denominators, so the pair is primitive."""
     entries = [
-        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        [x if isinstance(x, (int, Fraction)) else _exact(x) for x in row]
         for row in matrix
     ]
     den = lcm(*[x.denominator for row in entries for x in row])

@@ -29,9 +29,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 def cli_env(env_extra=None):
     """The environment of a child process that imports the library from
-    this checkout's src/, with the capacity guards at their defaults."""
+    this checkout's src/."""
     env = dict(os.environ)
-    env.pop("CONTINGENCY_MAX_N", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )

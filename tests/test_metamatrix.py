@@ -221,21 +221,14 @@ def test_pascal_inverse_up_to_20():
         assert mat_mul(p, p_star) == identity(n)
 
 
-def test_determinant_direct_and_integrality_ranges(monkeypatch):
+def test_determinant_direct_and_integrality_ranges():
     # the Bareiss determinant runs at every n up to the meta-matrix cap
-    monkeypatch.delenv("CONTINGENCY_MAX_N", raising=False)
     for n in range(1, 41):
         rep = det_metamatrix(n)
         assert rep.direct == rep.closed_form
         assert rep.equal is True and rep.integral
     with pytest.raises(CapacityError, match=r"capped at 40 \(got 41\)"):
         det_metamatrix(41)
-
-
-def test_raised_cap_reaches_the_direct_determinant(monkeypatch):
-    monkeypatch.setenv("CONTINGENCY_MAX_N", "41")
-    rep = det_metamatrix(41)
-    assert rep.direct == rep.closed_form and rep.equal is True
 
 
 @pytest.mark.parametrize(

@@ -364,7 +364,7 @@ def test_anodyne_classes_match_fibers(n):
 
 def test_anodyne_class_counts_at_n6(monkeypatch):
     # p(6) multiplicity partitions and 3^5 FNF and dual FNF labels
-    monkeypatch.setenv("CONTINGENCY_MAX_N", "6")
+    monkeypatch.setattr(strata, "ANODYNE_CAP", 6)
     joins = anodyne_joins(6)
     for name, count in (("both", 11), ("horizontal", 243), ("vertical", 243)):
         report = joins[name]
