@@ -6,10 +6,11 @@ Output is a JSON report envelope on stdout:
      "details": {...}, "elapsed_ms": ...}
 
 The report is written in pieces, as it is encoded, by one writer
-(``jsonwriter.write_json``); its bytes are those of
-``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.
-elapsed_ms is read when the writer reaches it, after "details", so it
-counts serialization.  With --stable the elapsed_ms field is omitted so
+(``jsonwriter.write_json``), which takes report values only (no float);
+its bytes are those of ``json.dumps(report, indent=2, sort_keys=True)``
+plus a newline.  elapsed_ms is a callable that reads the clock: the
+writer calls it where it reaches it, after "details", so it counts
+serialization.  With --stable the elapsed_ms field is omitted so
 output is byte-identical across runs.  The report is the only output
 format; ``metamatrix --format csv`` puts its CSV text inside it.
 
@@ -37,9 +38,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE
-
-# stands in for elapsed_ms until the writer reaches it
-_ELAPSED = object()
 
 
 def _parse_partition(text):
@@ -401,16 +399,10 @@ def main(argv=None):
         "details": details,
     }
     if not args.stable:
-        report["elapsed_ms"] = _ELAPSED
-
-    def elapsed_ms(obj):
-        # keys are sorted, so the clock is read once "details" is encoded
-        if obj is not _ELAPSED:
-            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-        return int((time.monotonic() - started) * 1000)
-
+        # keys are sorted, so the clock is read once "details" is written
+        report["elapsed_ms"] = lambda: int((time.monotonic() - started) * 1000)
     try:
-        write_json(report, sys.stdout.write, elapsed_ms)
+        write_json(report, sys.stdout.write)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:

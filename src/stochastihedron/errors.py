@@ -33,7 +33,12 @@ def exact_ints(values, error=DomainError):
 
 def exact_grid(rows):
     """The rows as a tuple of ``exact_ints`` tuples; a grid or row that is
-    not iterable raises ``DomainError`` too."""
+    not iterable raises ``DomainError`` too.  A tuple of exact-int row
+    tuples is returned as it is."""
+    if type(rows) is tuple and all(
+        type(row) is tuple and _INT.issuperset(map(type, row)) for row in rows
+    ):
+        return rows
     try:
         return tuple(map(exact_ints, rows))
     except TypeError as exc:

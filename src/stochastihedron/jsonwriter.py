@@ -1,20 +1,20 @@
 """One streaming JSON writer for the CLI's reports.
 
-``write_json(value, write, default)`` writes exactly the text of
-``json.JSONEncoder(indent=2, sort_keys=True, default=default).encode(value)``
-as it encodes, through ``write(text)`` calls of at most ``PIECE``
-characters each, so a large array goes out in batches and the whole text
-is never held.  It raises what that encoder raises: ``TypeError`` for an
-object ``default`` cannot serialize or for keys that cannot be sorted or
-used, ``ValueError`` for a circular reference.
+``write_json(value, write)`` writes exactly the text of
+``json.dumps(value, indent=2, sort_keys=True)`` as it encodes, through
+``write(text)`` calls of at most ``PIECE`` characters each, so a large
+array goes out in batches and the whole text is never held.
 
-Beyond what the encoder takes, an iterator encodes as an array of its
-items, so a caller can hand over a long array one item at a time.
+It takes report values only: None, bool, int and str; a list or tuple of
+report values; a dict with str keys; an iterator, written as an array of
+its items, so a long array can be handed over one item at a time; and a
+callable, called with no argument where the writer reaches it and its
+result written in its place, so a value can be read late.  Anything else,
+a float, a subclass of one of these types, or a key that is not a str,
+raises ``TypeError``: a report writes a time as integer milliseconds.
 
-It dispatches on exact types and joins an array of ints in one call; a
-subclass of str, int, float, list, tuple or dict is encoded as its base
-type, as the encoder does.  The text of a tuple of ints met again at the
-same depth is reused.
+It dispatches on exact types and joins an array of ints in one call.  The
+text of a tuple of ints met again at the same depth is reused.
 """
 
 from collections.abc import Iterator
@@ -25,45 +25,12 @@ PIECE = 65536  # most characters in one write
 _BATCH = 1024  # pieces of text kept before they are written
 _INTS = {int}
 _TUPLES = {tuple}
-_INF = float("inf")
-
-
-def _float(x):
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 _SCALARS = {
     str: _string,
     int: int.__repr__,
-    float: _float,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
-
-
-def _key(key):
-    """A non-str dict key as the encoder turns it into a str."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
 
 
 def _ints(seq, level):
@@ -72,12 +39,11 @@ def _ints(seq, level):
     return "[" + inner + ("," + inner).join(map(int.__repr__, seq)) + inner[:-2] + "]"
 
 
-def write_json(value, write, default=None):
-    """Write value as ``json.JSONEncoder(indent=2, sort_keys=True,
-    default=default)`` encodes it, through ``write(str)`` calls of at most
-    ``PIECE`` characters, as it goes."""
+def write_json(value, write):
+    """Write value as ``json.dumps(value, indent=2, sort_keys=True)``
+    encodes it, through ``write(str)`` calls of at most ``PIECE``
+    characters, as it goes."""
     parts = []  # text encoded and not yet written, in order
-    markers = {}  # id -> container being encoded, to detect a cycle
     memos = {}  # depth -> {tuple of ints: its text}
 
     def flush():
@@ -97,13 +63,6 @@ def write_json(value, write, default=None):
             text = memo[seq] = _ints(seq, level)
         return text
 
-    def enter(container):
-        key = id(container)
-        if key in markers:
-            raise ValueError("Circular reference detected")
-        markers[key] = container
-        return key
-
     def put(o, level, prefix):
         """Append prefix, then o's text at this depth."""
         kind = type(o)
@@ -114,25 +73,12 @@ def write_json(value, write, default=None):
             obj(o, level, prefix)
         elif kind is tuple or kind is list:
             sequence(o, level, prefix)
-        elif isinstance(o, str):
-            parts.append(prefix + _string(o))
-        elif isinstance(o, int):
-            parts.append(prefix + int.__repr__(o))
-        elif isinstance(o, float):
-            parts.append(prefix + _float(o))
-        elif isinstance(o, (list, tuple)):
-            sequence(o, level, prefix)
-        elif isinstance(o, dict):
-            obj(o, level, prefix)
         elif isinstance(o, Iterator):
             array(o, level, prefix)
+        elif callable(o):
+            put(o(), level, prefix)
         else:
-            key = enter(o)
-            if default is None:
-                name = o.__class__.__name__
-                raise TypeError(f"Object of type {name} is not JSON serializable")
-            put(default(o), level, prefix)
-            del markers[key]
+            raise TypeError(f"Object of type {kind.__name__} is not a report value")
 
     def sequence(seq, level, prefix):
         # exact ints only, before any memo is read: (1, 0) == (True, False)
@@ -156,7 +102,6 @@ def write_json(value, write, default=None):
             array(seq, level, prefix)
 
     def array(items, level, prefix):
-        key = enter(items)
         level += 1
         newline = "\n" + "  " * level
         separator = "," + newline
@@ -167,20 +112,16 @@ def write_json(value, write, default=None):
             if len(parts) >= _BATCH:
                 flush()
         parts.append(newline[:-2] + "]" if prefix is separator else outer + "[]")
-        del markers[key]
 
     def obj(dct, level, prefix):
-        if not dct:
-            parts.append(prefix + "{}")
-            return
-        key = enter(dct)
         level += 1
         newline = "\n" + "  " * level
         separator = "," + newline
-        prefix += "{" + newline
+        outer, prefix = prefix, prefix + "{" + newline
+        # keys that cannot be sorted raise TypeError here
         for name, x in sorted(dct.items()):
             if type(name) is not str:
-                name = _key(name)
+                raise TypeError(f"keys must be str, not {type(name).__name__}")
             scalar = _SCALARS.get(type(x))
             if scalar is not None:
                 parts.append(f"{prefix}{_string(name)}: {scalar(x)}")
@@ -189,8 +130,7 @@ def write_json(value, write, default=None):
             prefix = separator
             if len(parts) >= _BATCH:
                 flush()
-        parts.append(newline[:-2] + "}")
-        del markers[key]
+        parts.append(newline[:-2] + "}" if prefix is separator else outer + "{}")
 
     put(value, 0, "")
     flush()

@@ -58,10 +58,10 @@ class PosetRepresentation:
         # runs of covers often share one matrix object (constant_sheaf
         # passes one for all of them): convert it once, store it shared
         self.cover_maps = {}
-        last = stored = None
+        last = object()  # no map is this one: the first map is converted
         for pair, matrix in cover_maps.items():
             if matrix is not last:
-                last, stored = matrix, _integral(matrix)
+                last, stored = matrix, _integral(matrix, pair)
             self.cover_maps[pair] = stored
         self.validated = False
 
@@ -158,13 +158,19 @@ def _exact(x):
     raise StructuralError(f"map entries must be ints or Fractions, got {x!r}")
 
 
-def _integral(matrix):
-    """(rows, den) with rows / den equal to the matrix; den is the lcm of
-    the entries' denominators, so the pair is primitive."""
-    entries = [
-        [x if isinstance(x, (int, Fraction)) else _exact(x) for x in row]
-        for row in matrix
-    ]
+def _integral(matrix, pair):
+    """(rows, den) with rows / den equal to the matrix on the cover pair;
+    den is the lcm of the entries' denominators, so the pair is primitive.
+    A matrix that is not a grid of rows raises ``StructuralError``."""
+    try:
+        entries = [
+            [x if isinstance(x, (int, Fraction)) else _exact(x) for x in row]
+            for row in matrix
+        ]
+    except TypeError:
+        raise StructuralError(
+            f"map for cover {pair[0]} -> {pair[1]} must be a grid of rows"
+        ) from None
     den = lcm(*[x.denominator for row in entries for x in row])
     rows = tuple(
         [tuple([x.numerator * (den // x.denominator) for x in row]) for row in entries]

@@ -44,16 +44,21 @@ from .partitions import OrderedPartition, as_partition, block_bounds
 
 
 def _exact_point(point):
-    """A point (re, im) as a pair of Fractions.  Each coordinate must be an
-    int or a Fraction (``numbers.Rational``): a float, string or None
-    raises ``DomainError``, as does a point that is not a pair."""
+    """A point (re, im) as a pair of Fractions, a Fraction kept as it is.
+    Each coordinate must be an int or a Fraction (``numbers.Rational``): a
+    float, string or None raises ``DomainError``, as does a point that is
+    not a pair."""
     try:
         re, im = point
     except (TypeError, ValueError):
         raise DomainError(f"a point must be a pair (re, im), got {point!r}") from None
     if not (isinstance(re, Rational) and isinstance(im, Rational)):
         raise DomainError(f"coordinates must be ints or Fractions, got {point!r}")
-    return Fraction(re), Fraction(im)
+    if type(re) is not Fraction:
+        re = Fraction(re)
+    if type(im) is not Fraction:
+        im = Fraction(im)
+    return re, im
 
 
 class PointConfiguration(Frozen):
@@ -218,26 +223,36 @@ def multiplicity_partition(matrix):
     return MultiplicityPartition(_multiplicity_key(matrix.rows))
 
 
-def cell_dimensions(matrix):
-    """Real dimensions of the four cells/strata through a matrix's cell."""
+def _dimensions(matrix, fnf, ifnf, multiplicity):
+    """Real dimensions of the four cells/strata, read off the labels."""
     return {
         "contingency": matrix.p + matrix.q,
-        "fnf": fnf_label(matrix).dimension,
-        "ifnf": ifnf_label(matrix).dimension,
-        "complex": 2 * multiplicity_partition(matrix).length,
+        "fnf": fnf.dimension,
+        "ifnf": ifnf.dimension,
+        "complex": 2 * multiplicity.length,
     }
 
 
+def cell_dimensions(matrix):
+    """Real dimensions of the four cells/strata through a matrix's cell."""
+    labels = fnf_label(matrix), ifnf_label(matrix), multiplicity_partition(matrix)
+    return _dimensions(matrix, *labels)
+
+
 def classify(config):
-    """Full classification bundle for one configuration."""
+    """Full classification bundle for one configuration; each label is
+    built once."""
     matrix = contingency_label(config)
+    fnf, ifnf, multiplicity = labels = (
+        fnf_label(matrix), ifnf_label(matrix), multiplicity_partition(matrix)
+    )
     return {
         "configuration": config.to_json(),
         "matrix": matrix.to_json(),
-        "fnf": fnf_label(matrix).to_json(),
-        "ifnf": ifnf_label(matrix).to_json(),
-        "multiplicity": multiplicity_partition(matrix).to_json(),
-        "dimensions": cell_dimensions(matrix),
+        "fnf": fnf.to_json(),
+        "ifnf": ifnf.to_json(),
+        "multiplicity": multiplicity.to_json(),
+        "dimensions": _dimensions(matrix, *labels),
     }
 
 

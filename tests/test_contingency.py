@@ -78,6 +78,8 @@ def test_unchecked_constructor_matches_checked():
 
 
 def test_checked_constructor_keeps_exact_int_tuple_rows():
+    rows = ((1, 0), (2, 1))
+    assert cm(rows).rows is rows
     row = (1, 0)
     m = cm((row, [2, 1]))
     assert m.rows[0] is row

@@ -1,5 +1,7 @@
+import enum
 import json
 import math
+from collections import OrderedDict, namedtuple
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,40 +10,26 @@ from hypothesis import strategies as st
 from stochastihedron.jsonwriter import PIECE, write_json
 
 
-def stdlib(value, default=None):
-    return json.JSONEncoder(indent=2, sort_keys=True, default=default).encode(value)
+def stdlib(value):
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
-def written(value, default=None):
+def written(value):
     parts = []
-    write_json(value, parts.append, default)
+    write_json(value, parts.append)
     return "".join(parts)
 
 
-def outcome(encode, value):
-    """The text, or the type of the error raised."""
-    try:
-        return encode(value)
-    except (TypeError, ValueError) as exc:
-        return type(exc)
-
-
 # ---------------------------------------------------------------------------
-# oracle: the writer's text and errors are the standard encoder's
+# oracle: over report values, the writer's text is the standard encoder's
 
 # quotes, control characters, non-ASCII and non-BMP text need escapes
-escaped = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é ￿😀\U0010ffff')
+escaped = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é \uffff😀\U0010ffff')
 texts = st.text(escaped | st.characters(), max_size=6)
-floats = st.floats() | st.sampled_from(
-    [-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]
-)
 ints = st.integers() | st.integers(-(10**40), 10**40) | st.sampled_from([0, -1, 2**63])
-scalars = st.none() | st.booleans() | ints | floats | texts
+scalars = st.none() | st.booleans() | ints | texts
 # rows of ints and bools side by side: (1, 0) == (True, False) in Python
 rows = st.lists(st.integers(-2, 2) | st.booleans(), max_size=3).map(tuple)
-keys = st.sampled_from(
-    [texts, st.integers(), st.floats(), st.booleans(), st.none(), scalars]
-)
 
 
 def containers(inner):
@@ -49,18 +37,11 @@ def containers(inner):
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
         | st.lists(rows, max_size=3).map(tuple)
-        | keys.flatmap(lambda key: st.dictionaries(key, inner, max_size=4))
+        | st.dictionaries(texts, inner, max_size=4)
     )
 
 
 values = st.recursive(scalars | rows, containers, max_leaves=16)
-# leaves the encoder refuses, among the rest
-hostile = st.recursive(
-    scalars | rows | st.sets(st.integers(), max_size=2) | st.complex_numbers(),
-    lambda inner: containers(inner)
-    | st.dictionaries(st.tuples(st.integers()), inner, max_size=2),
-    max_leaves=10,
-)
 
 oracle_settings = settings(
     max_examples=400,
@@ -76,66 +57,88 @@ oracle_settings = settings(
 @example([(1, 0), (True, False)])
 @example({"a": [(1, 0), (True, False), [1, 0], [True, False]]})
 @example([((1, 0), (0, 1)), ((True, False), (False, True))])
-@example({"é": "😀", "\x00": ['"', "\\"], 1: -0.0, 2.5: math.nan})
+@example({"é": "😀", "\x00": ['"', "\\"], "big": [2**64, -(10**40)]})
 @example(([], {}, (), [[]], {"k": {}}))
 def test_writer_matches_the_standard_encoder(value):
-    assert outcome(written, value) == outcome(stdlib, value)
+    assert written(value) == stdlib(value)
+
+
+# ---------------------------------------------------------------------------
+# refusals: a value outside the report space raises TypeError
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Text(str):
+    pass
+
+
+Pair = namedtuple("Pair", "x y")
+
+# floats; int, float, bool and None keys; sets and complex numbers; and
+# subclasses of report types, which json.dumps writes as their base types
+outside = (
+    st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf])
+    | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(),
+                      scalars, min_size=1, max_size=2)
+    | st.sets(st.integers(), max_size=2)
+    | st.complex_numbers()
+    | st.sampled_from([Level.LOW, Text("t"), Pair(1, 0), OrderedDict(b=1, a=2)])
+)
+
+
+def report_around(leaf):
+    """A report value with the leaf somewhere inside it."""
+    return st.recursive(
+        st.just(leaf),
+        lambda inner: st.lists(inner, min_size=1, max_size=2)
+        | st.lists(inner, min_size=1, max_size=2).map(tuple)
+        | st.tuples(inner, values).map(list)
+        | st.dictionaries(texts, inner, min_size=1, max_size=2),
+        max_leaves=4,
+    )
 
 
 @oracle_settings
-@given(hostile)
-def test_writer_raises_what_the_standard_encoder_raises(value):
-    assert outcome(written, value) == outcome(stdlib, value)
+@given(outside.flatmap(report_around))
+@example([1, 0.5])
+@example({"a": {1: "x"}})
+@example((Level.LOW, Pair(1, 0)))
+def test_a_value_outside_the_report_space_raises_type_error(value):
+    with pytest.raises(TypeError):
+        written(value)
 
 
 @pytest.mark.parametrize(
     "value",
-    # unserializable; keys that cannot be sorted; a key of no JSON type
-    [object(), [1, {2, 3}], {"a": 1, 2: 3}, {None: 1, "a": 2}, {(1, 2): 3}],
+    # no JSON type; keys that cannot be sorted; a key of no JSON type
+    [object(), [1, {2, 3}], {"a": 1, 2: 3}, {None: 1, "a": 2}, {(1, 2): 3}, {Text("k"): 1}],
 )
 def test_refused_values_raise_type_error(value):
     with pytest.raises(TypeError):
         written(value)
-    with pytest.raises(TypeError):
-        stdlib(value)
 
 
-def test_circular_reference_raises_value_error():
-    loop = [1]
-    loop.append(loop)
-    nested = {"x": []}
-    nested["x"].append(nested)
-    for value in (loop, nested):
-        with pytest.raises(ValueError, match="Circular reference"):
-            written(value)
-    # a default that hands back its argument is a cycle too
-    with pytest.raises(ValueError, match="Circular reference"):
-        written(object(), default=lambda o: o)
+def test_a_callable_is_called_once_where_it_is_reached():
+    writes = []
+    calls = []
 
-
-def test_default_is_encoded_where_it_is_reached():
-    marker = object()
-    value = {"b": [marker, (1, 2)], "a": marker}
-
-    def swap(o):
+    def late():
+        calls.append("".join(writes))
         return {"seen": [True, None]}
 
-    assert written(value, swap) == stdlib(value, swap)
-
-
-def test_subclasses_encode_as_their_base_types():
-    import enum
-    from collections import OrderedDict, namedtuple
-
-    class Level(enum.IntEnum):
-        LOW = 1
-
-    class Text(str):
-        pass
-
-    Pair = namedtuple("Pair", "x y")
-    value = [Level.LOW, Text("t"), Pair(1, 0), OrderedDict(b=1, a=2), [Pair(True, 0)]]
-    assert written(value) == stdlib(value)
+    # "a" and "b" sort before "c"; "b" spans several batches of writes
+    value = {"c": late, "b": [str(i) for i in range(5000)], "a": "x"}
+    write_json(value, writes.append)
+    text = stdlib({**value, "c": {"seen": [True, None]}})
+    assert "".join(writes) == text
+    assert len(calls) == 1
+    # the keys before "c" were written, at least in part, when it was called
+    assert text.startswith(calls[0])
+    assert '"4000"' in calls[0] and '"c"' not in calls[0]
 
 
 # ---------------------------------------------------------------------------

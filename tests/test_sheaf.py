@@ -369,3 +369,15 @@ def test_constructor_refuses_inexact_entries(poset2, entry):
     maps = {(child, parent): [[entry]] for child, parent, _, _ in poset2.covers}
     with pytest.raises(StructuralError, match="^map entries must be ints or Fractions"):
         PosetRepresentation(poset2, [1] * 5, maps)
+
+
+@pytest.mark.parametrize("first, later", [
+    (None, None), ([[1]], None), ([[1]], [1]),
+], ids=["None-first", "None-later", "row-not-a-list"])
+def test_constructor_refuses_a_map_that_is_not_a_grid(poset2, first, later):
+    covers = [(child, parent) for child, parent, _, _ in poset2.covers]
+    maps = {pair: later for pair in covers}
+    maps[covers[0]] = first
+    bad = covers[0] if first is None else covers[1]
+    with pytest.raises(StructuralError, match=f"^map for cover {bad[0]} -> {bad[1]} "):
+        PosetRepresentation(poset2, [1] * 5, maps)

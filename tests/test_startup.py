@@ -173,3 +173,21 @@ def test_metamatrix_stays_the_function_once_counting_is_imported():
                           env=cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True ((1, 1), (1, 2))\n"
+
+
+def test_the_report_writer_takes_report_values_only():
+    # the float path and the default hook are gone: either comes back only
+    # with an edit here
+    from stochastihedron import cli, jsonwriter
+
+    tree = ast.parse(pathlib.Path(jsonwriter.__file__).read_text(encoding="utf-8"))
+    assert "float" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    (write_json,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "write_json"
+    ]
+    args = write_json.args
+    assert [a.arg for a in args.args] == ["value", "write"]
+    assert not (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg)
+    assert not args.defaults
+    assert not hasattr(cli, "_ELAPSED")

@@ -149,8 +149,23 @@ def test_classify_bundle():
     assert out["dimensions"] == {"contingency": 2, "fnf": 2, "ifnf": 2, "complex": 2}
 
 
+def test_classify_builds_each_label_once(monkeypatch):
+    calls = Counter()
+    for name in ("fnf_label", "ifnf_label", "multiplicity_partition"):
+        def counted(matrix, made=getattr(strata, name), name=name):
+            calls[name] += 1
+            return made(matrix)
+        monkeypatch.setattr(strata, name, counted)
+    z = config((0, 0), (1, 0), (1, 2))
+    out = classify(z)
+    assert calls == {"fnf_label": 1, "ifnf_label": 1, "multiplicity_partition": 1}
+    assert out["dimensions"] == cell_dimensions(strata.contingency_label(z))
+
+
 def test_configuration_json():
-    z = PointConfiguration(((Fraction(1, 2), Fraction(-3)),))
+    f, g = Fraction(1, 2), Fraction(-3)
+    z = PointConfiguration(((f, g),))
+    assert z.points[0][0] is f and z.points[0][1] is g
     data = z.to_json()
     assert data == {"points": [{"re": "1/2", "im": "-3"}]}
     assert PointConfiguration.from_json(data) == z
